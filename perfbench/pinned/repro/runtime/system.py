@@ -1,0 +1,448 @@
+"""The runtime facade: one object wiring the whole simulated machine.
+
+Typical use::
+
+    from repro.machine import delta_machine, delta_costs
+    from repro.runtime import RuntimeSystem
+
+    rt = RuntimeSystem(delta_machine(nodes=2), delta_costs(), seed=1)
+    rt.register_handler("hello", lambda ctx, msg: print(msg.payload))
+    rt.post(0, my_driver_task)
+    stats = rt.run()
+
+Running to event-queue exhaustion is quiescence: applications are
+structured (one-shot conditional flush timers, idle-flush hooks) so that
+a finished run drains naturally.
+"""
+
+from __future__ import annotations
+
+from typing import Any, Callable, Dict, List, Optional
+
+from repro.errors import ConfigError, DeliveryError
+from repro.faults.context import active_fault_session
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import FaultPlan
+from repro.flow.config import FlowConfig
+from repro.flow.context import active_flow_session
+from repro.flow.controller import FlowController
+from repro.machine.costs import CostModel
+from repro.machine.topology import MachineConfig
+from repro.network.fabric import Fabric
+from repro.network.nic import Nic
+from repro.obs.config import ObsConfig, active_session
+from repro.obs.timeline import TimelineRecorder
+from repro.runtime.commthread import CommThread
+from repro.runtime.node import Node
+from repro.runtime.proc import Process
+from repro.runtime.reliability import ReliabilityConfig, ReliableDelivery
+from repro.runtime.transport import Transport
+from repro.runtime.worker import Worker
+from repro.sim.engine import Engine, RunStats
+from repro.sim.parallel import PdesConfig, active_pdes_session
+from repro.sim.rng import RngStreams
+from repro.sim.trace import Tracer
+
+
+class RuntimeSystem:
+    """A fully wired simulated cluster.
+
+    Parameters
+    ----------
+    machine:
+        Topology (nodes x processes x workers, SMP or not).
+    costs:
+        Cost model; defaults to the Delta-shaped preset.
+    seed:
+        Root seed for all named RNG streams.
+    tracer:
+        Optional tracer threaded into the engine.
+    obs:
+        Optional :class:`~repro.obs.config.ObsConfig` enabling
+        stage-attributed latency spans. Defaults to the config of the
+        active :class:`~repro.obs.config.ObsSession`, if any; otherwise
+        instrumentation is off.
+    faults:
+        Optional :class:`~repro.faults.FaultPlan`. Defaults to the plan
+        of the active :class:`~repro.faults.FaultSession`, if any; with
+        neither (or a no-op plan) the transport is fault-free and pays
+        one ``is None`` check per hop.
+    reliability:
+        Optional :class:`~repro.runtime.reliability.ReliabilityConfig`
+        enabling the ack/retransmit layer. Defaults to the active fault
+        session's config (enabled under a session, so faulty runs still
+        deliver exactly once); ``None`` otherwise.
+    flow:
+        Optional :class:`~repro.flow.FlowConfig` enabling credit-based
+        flow control and overload protection. Defaults to the config of
+        the active :class:`~repro.flow.FlowSession`, if any; with
+        neither (or a disabled config) the pipeline is unbounded and
+        pays one ``is None`` check per message.
+    """
+
+    def __init__(
+        self,
+        machine: MachineConfig,
+        costs: Optional[CostModel] = None,
+        seed: int = 0,
+        tracer: Optional[Tracer] = None,
+        obs: Optional[ObsConfig] = None,
+        faults: Optional[FaultPlan] = None,
+        reliability: Optional[ReliabilityConfig] = None,
+        flow: Optional[FlowConfig] = None,
+    ) -> None:
+        session = active_session()
+        if obs is None and session is not None:
+            obs = session.config
+        self.obs = obs
+        #: Whether schemes should attach spans / stage histograms.
+        self.obs_enabled = obs is not None and obs.enabled
+        self._obs_session = session if self.obs_enabled else None
+        #: Scheme instances attached to this runtime (self-registered by
+        #: SchemeBase; drives per-scheme metrics and snapshots).
+        self.schemes: List[Any] = []
+        self.machine = machine
+        self.costs = costs if costs is not None else CostModel()
+        self.engine = Engine(tracer=tracer)
+        if machine.nodes > 1:
+            # Partition-stable seq allocation (one owner per simulated
+            # node). Single-node machines keep the plain global counter,
+            # bit-identical to the pre-PDES engine.
+            self.engine.configure_owners(machine.nodes)
+
+        pdes_session = active_pdes_session()
+        #: Partitioned-run request (:class:`repro.sim.parallel.PdesConfig`)
+        #: picked up from the ambient session, or ``None``.
+        self.pdes: Optional[PdesConfig] = (
+            pdes_session.config if pdes_session is not None else None
+        )
+        #: Filled by :meth:`run` when a PDES config is active: a
+        #: :class:`repro.sim.parallel.PdesRunInfo` describing either the
+        #: partitioned execution or the sequential fallback reason.
+        self.pdes_info: Optional[Any] = None
+        #: Driver-side state registered via :meth:`pdes_share`.
+        self._pdes_states: List[tuple] = []
+        self._pdes_ready = False
+        #: Node ids simulated locally when this runtime is a PDES child
+        #: partition; ``None`` everywhere else.
+        self._pdes_local_nodes: Optional[frozenset] = None
+        if self.pdes is not None and self.pdes.record_fires:
+            self.engine.fire_log = []
+
+        self.rng = RngStreams(seed)
+        self.fabric = Fabric(machine, self.costs)
+        self.transport = Transport(self)
+        self._handlers: Dict[str, Callable] = {}
+
+        fault_session = active_fault_session()
+        plan = faults
+        if plan is None and fault_session is not None:
+            plan = fault_session.plan
+        if plan is not None and plan.is_noop():
+            plan = None
+        #: Fault injector, or ``None`` (the default, zero-cost case).
+        self.faults: Optional[FaultInjector] = (
+            FaultInjector(plan=plan, rng=self.rng.stream("faults"))
+            if plan is not None
+            else None
+        )
+        #: Crash fabric: ``None`` when no plan kills processes (the
+        #: hot-path check is ``dp = rt.dead_procs; if dp and pid in dp``,
+        #: false for both ``None`` and the empty set); a live set of
+        #: currently-dead process ids otherwise.
+        self.dead_procs: Optional[set] = None
+        rel_cfg = reliability
+        if rel_cfg is None and fault_session is not None:
+            rel_cfg = fault_session.reliability
+        #: Reliable-delivery layer, or ``None`` (the default).
+        self.reliable: Optional[ReliableDelivery] = (
+            ReliableDelivery(self, rel_cfg)
+            if rel_cfg is not None and rel_cfg.enabled
+            else None
+        )
+
+        self._workers = [Worker(self, w) for w in range(machine.total_workers)]
+        self._processes = [Process(self, p) for p in range(machine.total_processes)]
+        self._nodes = []
+        for n in range(machine.nodes):
+            nics = []
+            for _ in range(machine.nics_per_node):
+                nic = Nic(engine=self.engine, costs=self.costs, node_id=n)
+                nic.sink = self.transport.on_nic_arrival
+                nic.faults = self.faults
+                nics.append(nic)
+            self._nodes.append(Node(self, n, nics))
+        if machine.smp:
+            for proc in self._processes:
+                ct = CommThread(self, proc.pid)
+                ct.on_outbound_done = self.transport.after_commthread_out
+                proc.commthread = ct
+
+        flow_session = active_flow_session()
+        flow_cfg = flow
+        if flow_cfg is None and flow_session is not None:
+            flow_cfg = flow_session.config
+        if flow_cfg is not None and not flow_cfg.enabled:
+            flow_cfg = None
+        #: Flow controller, or ``None`` (the default, zero-cost case).
+        #: Built after nodes/comm threads so its gates can attach.
+        self.flow: Optional[FlowController] = (
+            FlowController(self, flow_cfg) if flow_cfg is not None else None
+        )
+
+        #: Flight recorder, or ``None`` (the default). Built last so its
+        #: probes see every component, and installed as the engine's
+        #: boundary sampler (which routes ``run()`` through the sampled
+        #: loop; without it the sampler-free hot path is untouched).
+        tl_cfg = obs.timeline if obs is not None else None
+        if tl_cfg is not None and not tl_cfg.enabled:
+            tl_cfg = None
+        self.timeline: Optional[TimelineRecorder] = (
+            TimelineRecorder(self, tl_cfg) if tl_cfg is not None else None
+        )
+        if self.timeline is not None:
+            self.engine.sampler = self.timeline
+
+        # Crash fabric, armed only when the plan actually kills someone:
+        # seeded victims draw from a *dedicated* RNG stream so wire-dice
+        # placement is untouched, and a crash-free plan schedules zero
+        # events (pre-crash-fabric runs stay byte-identical).
+        if self.faults is not None and plan.has_crashes():
+            self.faults.crash_rng = self.rng.stream("proc-faults")
+            self.dead_procs = set()
+            for t, kind, pid in self.faults.crash_schedule(
+                machine.total_processes
+            ):
+                if not 0 <= pid < machine.total_processes:
+                    raise ConfigError(
+                        f"scripted {kind} targets process {pid}, but the "
+                        f"machine has {machine.total_processes} processes"
+                    )
+                fn = (
+                    self._crash_process if kind == "crash"
+                    else self._restart_process
+                )
+                self.engine.call_at(t, fn, (pid,))
+
+    # ------------------------------------------------------------------
+    # Component access
+    # ------------------------------------------------------------------
+    def worker(self, wid: int) -> Worker:
+        """The worker PE with global id ``wid``."""
+        return self._workers[wid]
+
+    def process(self, pid: int) -> Process:
+        """The process with global id ``pid``."""
+        return self._processes[pid]
+
+    def node(self, node_id: int) -> Node:
+        """The physical node ``node_id``."""
+        return self._nodes[node_id]
+
+    @property
+    def workers(self):
+        """All worker PEs, indexed by global id."""
+        return self._workers
+
+    @property
+    def processes(self):
+        """All processes, indexed by global id."""
+        return self._processes
+
+    @property
+    def nodes(self):
+        """All physical nodes."""
+        return self._nodes
+
+    # ------------------------------------------------------------------
+    # Handler registry
+    # ------------------------------------------------------------------
+    def register_handler(
+        self, kind: str, fn: Callable, *, overwrite: bool = False
+    ) -> None:
+        """Register ``fn(ctx, msg)`` for messages of ``kind``."""
+        if not overwrite and kind in self._handlers:
+            raise ConfigError(f"handler for kind {kind!r} already registered")
+        self._handlers[kind] = fn
+
+    def handler_for(self, kind: str) -> Callable:
+        """Look up the handler for a message kind."""
+        try:
+            return self._handlers[kind]
+        except KeyError:
+            raise DeliveryError(f"no handler registered for kind {kind!r}") from None
+
+    # ------------------------------------------------------------------
+    # Fault/reliability plumbing
+    # ------------------------------------------------------------------
+    def wire_loss_accounting(self, qd: Any) -> None:
+        """Route unrecoverable message loss into quiescence accounting.
+
+        ``qd`` is anything with a ``note_lost(n)`` method (a
+        :class:`~repro.runtime.quiescence.QDCounter`). No-op on a
+        fault-free, reliability-free runtime, so applications can call
+        it unconditionally.
+        """
+        def _on_loss(msg: Any, items: int) -> None:
+            if items:
+                qd.note_lost(items)
+
+        if self.faults is not None:
+            self.faults.on_loss = _on_loss
+        if self.reliable is not None:
+            self.reliable.on_loss = _on_loss
+        if self.flow is not None:
+            self.flow.on_loss = _on_loss
+
+    # ------------------------------------------------------------------
+    # Crash fabric
+    # ------------------------------------------------------------------
+    def _crash_process(self, pid: int) -> None:
+        """Kill process ``pid`` at the current simulated time.
+
+        Everything the process holds dies with it: its workers stop
+        scheduling and their queued tasks are drained into the crash
+        ledger, its buffered aggregation items are lost, the reliability
+        layer tears down its outbound channels (its protocol state is
+        gone), and the flow controller releases credits/parked FIFOs it
+        held. Traffic *towards* the dead process is dropped and
+        accounted at each arrival site.
+        """
+        dp = self.dead_procs
+        if dp is None or pid in dp:
+            return
+        dp.add(pid)
+        proc = self._processes[pid]
+        proc.alive = False
+        self.faults.stats.proc_crashes += 1
+        for wid in self.machine.workers_of_process(pid):
+            self._workers[wid].on_process_crashed()
+        for scheme in self.schemes:
+            scheme.on_process_crashed(pid)
+        if self.reliable is not None:
+            self.reliable.on_process_crashed(pid)
+        if self.flow is not None:
+            self.flow.on_process_crashed(pid)
+
+    def _restart_process(self, pid: int) -> None:
+        """Revive process ``pid`` with a fresh (empty) state.
+
+        The simulator's shortcut through membership renegotiation (cf.
+        the sparse dynamic data exchange of arXiv:2308.13869): the
+        restart is announced to every subsystem at once — reliability
+        channels reset towards the fresh peer, schemes fail back from
+        direct-fallback routing, and the process resumes scheduling.
+        Work lost in the crash stays lost (and stays accounted).
+        """
+        dp = self.dead_procs
+        if dp is None or pid not in dp:
+            return
+        dp.discard(pid)
+        self._processes[pid].alive = True
+        self.faults.stats.proc_restarts += 1
+        for wid in self.machine.workers_of_process(pid):
+            self._workers[wid].on_process_restarted()
+        if self.reliable is not None:
+            self.reliable.on_process_restarted(pid)
+        for scheme in self.schemes:
+            scheme.on_peer_restarted(pid)
+
+    # ------------------------------------------------------------------
+    # Driving
+    # ------------------------------------------------------------------
+    def post(
+        self,
+        worker_id: int,
+        fn: Callable,
+        *args: Any,
+        delay: float = 0.0,
+        expedited: bool = False,
+    ) -> None:
+        """Schedule task ``fn(ctx, *args)`` on a worker, now or later.
+
+        On multi-node machines the bootstrap event is allocated under
+        the target worker's node owner, so a partitioned run draws the
+        identical seq the sequential engine would.
+        """
+        worker = self._workers[worker_id]
+        eng = self.engine
+        if eng._owner_mod:
+            node = self.machine.node_of_worker(worker_id)
+            owned = self._pdes_local_nodes
+            if owned is not None and node not in owned:
+                raise DeliveryError(
+                    f"rt.post to node {node} from a partition that owns "
+                    f"{sorted(owned)}: mid-run cross-node posts have no "
+                    "wire lookahead and cannot run partitioned — route "
+                    "cross-worker traffic through the transport instead"
+                )
+            prev = eng.current_owner
+            eng.current_owner = node
+            try:
+                eng.after(delay, self._post_now, worker, fn, args, expedited)
+            finally:
+                eng.current_owner = prev
+        else:
+            eng.after(delay, self._post_now, worker, fn, args, expedited)
+
+    @staticmethod
+    def _post_now(worker: Worker, fn: Callable, args: tuple, expedited: bool) -> None:
+        worker.post_task(fn, *args, expedited=expedited)
+
+    # ------------------------------------------------------------------
+    # PDES partitioning hooks
+    # ------------------------------------------------------------------
+    def pdes_share(self, obj: Any, *, merge: str = "sum") -> Any:
+        """Register driver-side state a partitioned run must merge.
+
+        ``merge`` picks the rule applied when child partitions return:
+
+        * ``"sum"`` — numeric deltas are folded in fixed partition
+          order: plain int/float attributes of an object (e.g. a
+          :class:`~repro.runtime.quiescence.QDCounter`), or a numpy
+          array summed elementwise.
+        * ``"worker"`` — a list or 1-D array indexed by global worker
+          id; each element is taken from the partition owning that
+          worker's node.
+
+        Registering anything also marks the app *pdes-ready*: a runtime
+        whose driver never registered (or called :meth:`pdes_ready`)
+        falls back to sequential execution, because the coordinator
+        would have no way to reassemble the driver's state. Returns
+        ``obj`` so registration can wrap construction.
+        """
+        if merge not in ("sum", "worker"):
+            raise ConfigError(f"unknown pdes merge rule {merge!r}")
+        self._pdes_states.append((obj, merge))
+        self._pdes_ready = True
+        return obj
+
+    def pdes_ready(self) -> None:
+        """Mark the app safe to partition with no driver state to merge."""
+        self._pdes_ready = True
+
+    def run(
+        self, *, until: Optional[float] = None, max_events: Optional[int] = None
+    ) -> RunStats:
+        """Run the engine (to quiescence by default).
+
+        With an active :class:`~repro.sim.parallel.PdesSession` and an
+        eligible configuration, the run is sharded by simulated node
+        across worker processes (:func:`repro.sim.parallel.run_partitioned`)
+        and the merged result — including every artifact-visible counter
+        — is canonical-byte-identical to the sequential path.
+        """
+        if self.pdes is not None and self._pdes_local_nodes is None:
+            from repro.sim.parallel import run_partitioned
+
+            stats = run_partitioned(self, until=until, max_events=max_events)
+        else:
+            stats = self.engine.run(until=until, max_events=max_events)
+        if self._obs_session is not None:
+            self._obs_session.update(self, stats)
+        return stats
+
+    @property
+    def now(self) -> float:
+        """Current simulated time (ns)."""
+        return self.engine.now

@@ -1,0 +1,49 @@
+"""Deterministic discrete-event simulation (DES) substrate.
+
+This package is the foundation of the whole reproduction: simulated time
+replaces wall-clock time, so all performance claims are made about the
+*model* rather than about the Python interpreter (see DESIGN.md §2).
+
+Public surface
+--------------
+:class:`~repro.sim.engine.Engine`
+    The event loop: schedule callbacks at absolute or relative simulated
+    times (heap-ordered ``at``/``after``, no-handle ``call_at`` /
+    ``call_after``, wheel-backed ``timer_at``/``timer_after``), run to
+    exhaustion or to a horizon.
+:func:`~repro.sim.event.Event`
+    Factory for a cancellable scheduled callback (a plain list; see
+    :mod:`repro.sim.event` for the representation).
+:class:`~repro.sim.wheel.TimerWheel`
+    O(1) arm/cancel structure for timeout-class events.
+:class:`~repro.sim.rng.RngStreams`
+    Named, independently-seeded ``numpy`` generator streams so that every
+    component draws from its own reproducible stream.
+:mod:`~repro.sim.simtime`
+    Time-unit constants (nanosecond base) and formatting helpers.
+:class:`~repro.sim.trace.Tracer`
+    Optional structured event tracing.
+"""
+
+from repro.sim.engine import Engine, RunStats
+from repro.sim.event import Event
+from repro.sim.queue import EventQueue
+from repro.sim.rng import RngStreams
+from repro.sim.simtime import MS, NS, SEC, US, fmt_time
+from repro.sim.trace import Tracer
+from repro.sim.wheel import TimerWheel
+
+__all__ = [
+    "Engine",
+    "Event",
+    "EventQueue",
+    "MS",
+    "NS",
+    "RngStreams",
+    "RunStats",
+    "SEC",
+    "Tracer",
+    "TimerWheel",
+    "US",
+    "fmt_time",
+]
