@@ -99,8 +99,9 @@ def run_indexgather(
         qd_req.consume(count)
         # Look up the requested values and answer every contributor.
         ctx.charge(count * rt.costs.gen_ns)
-        counts = np.zeros(W, dtype=np.int64)
-        counts[src_ids] = src_counts
+        counts = [0] * W
+        for sid, n in zip(src_ids, src_counts):
+            counts[sid] = n
         qd_resp.produce(count)
         resp_tram.insert_bulk(ctx, counts)
 

@@ -10,34 +10,45 @@ carved out of an over-full buffer.
 
 from __future__ import annotations
 
-from typing import List, Optional
-
-import numpy as np
+from operator import add, sub
+from typing import List, Optional, Sequence
 
 from repro.errors import SimulationError
 from repro.tram.item import BulkBatch, Item
 
 
-def proportional_take(arr: np.ndarray, k: int, total: int) -> np.ndarray:
-    """Take ``k`` of ``total`` items from slots ``arr`` proportionally.
+def proportional_take(counts: Sequence[int], k: int, total: int) -> List[int]:
+    """Take ``k`` of ``total`` items from slots ``counts`` proportionally.
 
     Uses the largest-remainder method; deterministic (ties broken by
-    slot index) and guaranteed to satisfy ``0 <= take <= arr`` and
-    ``take.sum() == k``.
+    lowest slot index) and guaranteed to satisfy ``0 <= take <= counts``
+    and ``sum(take) == k``. ``total`` must equal ``sum(counts)``.
     """
     if k > total:
         raise SimulationError(f"cannot take {k} of {total}")
     if k == total:
-        return arr.copy()
-    prod = arr * k
-    take = prod // total
-    deficit = int(k - take.sum())
-    if deficit:
-        rem = prod - take * total
-        # Only slots with rem > 0 are eligible and there are always at
-        # least ``deficit`` of them; ceil never exceeds arr when k<total.
-        order = np.argsort(-rem, kind="stable")[:deficit]
-        take[order] += 1
+        return list(counts)
+    if len(counts) == 1:
+        return [k]
+    take = []
+    rem = []
+    deficit = k
+    for c in counts:
+        q, r = divmod(c * k, total)
+        take.append(q)
+        rem.append(r)
+        deficit -= q
+    # Only slots with rem > 0 are eligible and there are always at least
+    # ``deficit`` of them; ceil never exceeds counts when k < total.
+    # Ties go to the lowest slot: ``index`` finds the first maximum and
+    # ``sorted`` stays stable under ``reverse=True``.
+    if deficit == 1:
+        take[rem.index(max(rem))] += 1
+    elif deficit:
+        for i in sorted(range(len(rem)), key=rem.__getitem__, reverse=True)[
+            :deficit
+        ]:
+            take[i] += 1
     return take
 
 
@@ -175,20 +186,16 @@ class CountBuffer:
     def __init__(
         self,
         capacity: int,
-        dst_ids: Optional[np.ndarray] = None,
-        src_ids: Optional[np.ndarray] = None,
+        dst_ids: Optional[Sequence[int]] = None,
+        src_ids: Optional[Sequence[int]] = None,
         dest=None,
     ) -> None:
         self.capacity = capacity
         self.count = 0
         self.dst_ids = dst_ids
-        self.dst_counts = (
-            np.zeros(len(dst_ids), dtype=np.int64) if dst_ids is not None else None
-        )
+        self.dst_counts = [0] * len(dst_ids) if dst_ids is not None else None
         self.src_ids = src_ids
-        self.src_counts = (
-            np.zeros(len(src_ids), dtype=np.int64) if src_ids is not None else None
-        )
+        self.src_counts = [0] * len(src_ids) if src_ids is not None else None
         self.t_sum = 0.0
         self.t_min = float("inf")
         self.timer_event = None
@@ -206,7 +213,7 @@ class CountBuffer:
         self,
         n: int,
         now: float,
-        dst_slot_counts: Optional[np.ndarray] = None,
+        dst_slot_counts: Optional[Sequence[int]] = None,
         src_slot: Optional[int] = None,
     ) -> None:
         """Account ``n`` items created at ``now``.
@@ -223,7 +230,7 @@ class CountBuffer:
         if self.dst_counts is not None:
             if dst_slot_counts is None:
                 raise SimulationError("buffer tracks destinations; counts required")
-            self.dst_counts += dst_slot_counts
+            self.dst_counts = list(map(add, self.dst_counts, dst_slot_counts))
         if self.src_counts is not None:
             if src_slot is None:
                 raise SimulationError("buffer tracks sources; src_slot required")
@@ -242,11 +249,11 @@ class CountBuffer:
         dst_part = None
         if self.dst_counts is not None:
             dst_part = proportional_take(self.dst_counts, k, self.count)
-            self.dst_counts -= dst_part
+            self.dst_counts = list(map(sub, self.dst_counts, dst_part))
         src_part = None
         if self.src_counts is not None:
             src_part = proportional_take(self.src_counts, k, self.count)
-            self.src_counts -= src_part
+            self.src_counts = list(map(sub, self.src_counts, src_part))
         batch = BulkBatch(
             count=k,
             dst_ids=self.dst_ids,

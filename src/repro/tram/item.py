@@ -17,9 +17,7 @@ runtime transports. Two fidelity levels exist:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
-
-import numpy as np
+from typing import Any, Optional, Sequence
 
 
 @dataclass(slots=True)
@@ -71,6 +69,9 @@ class ItemBatch:
 class BulkBatch:
     """Count-level payload of an aggregated message.
 
+    The id and count fields are plain ``int`` sequences; ids are often
+    the ``range`` of a process's or node's workers.
+
     Attributes
     ----------
     count:
@@ -96,10 +97,10 @@ class BulkBatch:
     """
 
     count: int
-    dst_ids: Optional[np.ndarray]
-    dst_counts: Optional[np.ndarray]
-    src_ids: Optional[np.ndarray]
-    src_counts: Optional[np.ndarray]
+    dst_ids: Optional[Sequence[int]]
+    dst_counts: Optional[Sequence[int]]
+    src_ids: Optional[Sequence[int]]
+    src_counts: Optional[Sequence[int]]
     t_sum: float
     t_min: float
     grouped: bool = False

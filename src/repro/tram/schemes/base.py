@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import itertools
 from collections import defaultdict
-from typing import TYPE_CHECKING, Callable, Iterable, Optional, Tuple, Union
-
-import numpy as np
+from operator import sub
+from typing import (
+    TYPE_CHECKING, Callable, Iterable, List, Optional, Sequence, Tuple, Union,
+)
 
 from repro.errors import ConfigError
 from repro.network.message import NetMessage
@@ -38,6 +39,16 @@ if TYPE_CHECKING:  # pragma: no cover
 Buffer = Union[ItemBuffer, CountBuffer]
 
 _instance_ids = itertools.count()
+
+
+def nonzero_sections(counts: List[int], width: int):
+    """Yield ``(index, section, total)`` for each run of ``width`` slots of
+    ``counts`` (one destination process or node) that holds any items."""
+    for index, lo in enumerate(range(0, len(counts), width)):
+        section = counts[lo : lo + width]
+        n = sum(section)
+        if n:
+            yield index, section, n
 
 
 class _TimerGroup:
@@ -80,7 +91,8 @@ class SchemeBase:
         ``fn(ctx, dst_worker, count, src_ids, src_counts)`` invoked at
         the destination PE for items inserted through
         :meth:`insert_bulk` (flow mode). ``src_ids``/``src_counts`` are
-        aligned numpy arrays attributing the items to source workers.
+        aligned sequences of plain ``int`` (``src_counts`` is a list)
+        attributing the items to source workers; zero counts may occur.
     """
 
     #: Scheme name as used in the paper (set by subclasses).
@@ -215,19 +227,22 @@ class SchemeBase:
             return
         self._insert_item(ctx, src, item)
 
-    def insert_bulk(self, ctx: "ExecContext", counts: np.ndarray) -> None:
+    def insert_bulk(self, ctx: "ExecContext", counts: Sequence[int]) -> None:
         """Hand many items to TramLib at once (flow fidelity).
 
         Parameters
         ----------
         counts:
-            Integer array of length ``total_workers``: how many items go
-            to each destination worker. The array is consumed (copied
-            internally); items are timestamped at the task's start time.
+            Int sequence of length ``total_workers`` (a list, tuple or
+            integer array): how many items go to each destination
+            worker. It is copied once into a list of plain ``int`` and
+            never modified; items are timestamped at the task's start
+            time.
         """
         src = ctx.worker.wid
-        counts = np.asarray(counts, dtype=np.int64).copy()
-        total = int(counts.sum())
+        tolist = getattr(counts, "tolist", None)
+        counts = tolist() if tolist is not None else list(counts)
+        total = sum(counts)
         if total == 0:
             return
         self.stats.items_inserted += total
@@ -236,26 +251,26 @@ class SchemeBase:
             own = machine.workers_of_process(machine.process_of_worker(src))
             lo, hi = own.start, own.stop
             local = counts[lo:hi]
-            n_local = int(local.sum())
+            n_local = sum(local)
             if n_local:
                 now = ctx.now
-                for rank in np.nonzero(local)[0]:
-                    dst = lo + int(rank)
-                    n = int(local[rank])
+                for dst, n in enumerate(local, lo):
+                    if not n:
+                        continue
                     ctx.charge(self.rt.costs.local_msg_ns)
                     ctx.emit(
                         self._post,
                         dst,
                         self._section_bulk_task,
                         n,
-                        np.array([src]),
-                        np.array([n]),
+                        [src],
+                        [n],
                         n * now,
                         now,
                         now,  # t0: bypass latency -> local_delivery stage
                     )
                 self.stats.items_bypassed_local += n_local
-                counts[lo:hi] = 0
+                counts[lo:hi] = [0] * (hi - lo)
                 total -= n_local
         if total:
             flow = self.rt.flow
@@ -301,7 +316,7 @@ class SchemeBase:
     def _insert_item(self, ctx, src: int, item: Item) -> None:
         raise NotImplementedError
 
-    def _insert_bulk(self, ctx, src: int, counts: np.ndarray, total: int) -> None:
+    def _insert_bulk(self, ctx, src: int, counts: List[int], total: int) -> None:
         raise NotImplementedError
 
     def _flush_worker(self, ctx, wid: int) -> None:
@@ -325,8 +340,8 @@ class SchemeBase:
     def _new_count_buffer(
         self,
         dest: Tuple[int, Optional[int]],
-        dst_ids: Optional[np.ndarray] = None,
-        src_ids: Optional[np.ndarray] = None,
+        dst_ids: Optional[Sequence[int]] = None,
+        src_ids: Optional[Sequence[int]] = None,
         owner=None,
     ) -> CountBuffer:
         self._account_buffer(owner)
@@ -533,15 +548,15 @@ class SchemeBase:
         if faults is not None:
             faults.note_crash_items(items)
 
-    def _dead_peel_bulk(self, counts: np.ndarray) -> int:
+    def _dead_peel_bulk(self, counts: List[int]) -> int:
         """Zero out bulk-insert slots addressed to dead processes."""
         machine = self.rt.machine
         dead = self._dead_peers
         peeled = 0
-        for rank in np.nonzero(counts)[0]:
-            if machine.process_of_worker(int(rank)) in dead:
-                peeled += int(counts[rank])
-                counts[rank] = 0
+        for dst, n in enumerate(counts):
+            if n and machine.process_of_worker(dst) in dead:
+                peeled += n
+                counts[dst] = 0
         if peeled:
             self._note_dead_peer_drop(peeled)
         return peeled
@@ -579,7 +594,7 @@ class SchemeBase:
             full=False,
         )
 
-    def _direct_fallback_bulk(self, ctx, src: int, counts: np.ndarray) -> int:
+    def _direct_fallback_bulk(self, ctx, src: int, counts: List[int]) -> int:
         """Peel degraded destinations out of a bulk insert.
 
         Each affected destination worker gets its own direct message;
@@ -590,24 +605,24 @@ class SchemeBase:
         src_pid = machine.process_of_worker(src)
         now = ctx.now
         peeled = 0
-        for rank in np.nonzero(counts)[0]:
-            dst = int(rank)
+        for dst, n in enumerate(counts):
+            if not n:
+                continue
             dst_pid = machine.process_of_worker(dst)
             if (src_pid, dst_pid) not in self._degraded:
                 continue
-            n = int(counts[rank])
             payload = BulkBatch(
                 count=n,
                 dst_ids=None,
                 dst_counts=None,
-                src_ids=np.array([src], dtype=np.int64),
-                src_counts=np.array([n], dtype=np.int64),
+                src_ids=[src],
+                src_counts=[n],
                 t_sum=n * now,
                 t_min=now,
             )
             self.stats.direct_fallback_sends += n
             self._emit_message(ctx, payload, n, dst_pid, dst, full=False)
-            counts[rank] = 0
+            counts[dst] = 0
             peeled += n
         return peeled
 
@@ -805,17 +820,14 @@ class SchemeBase:
         else:
             ctx.charge(costs.group_cost_ns(payload.count, self._t))
             self.stats.group_elements += payload.count + self._t
-        src_ids, src_counts = self._src_breakdown(msg, payload)
-        remaining_src = src_counts.copy()
+        src_ids, remaining_src = self._src_breakdown(msg, payload)
         remaining_total = payload.count
-        dst_ids = payload.dst_ids
-        dst_counts = payload.dst_counts
         mean_t = payload.t_sum / payload.count
-        for slot in np.nonzero(dst_counts)[0]:
-            dst = int(dst_ids[slot])
-            n = int(dst_counts[slot])
+        for dst, n in zip(payload.dst_ids, payload.dst_counts):
+            if not n:
+                continue
             section_src = proportional_take(remaining_src, n, remaining_total)
-            remaining_src = remaining_src - section_src
+            remaining_src = list(map(sub, remaining_src, section_src))
             remaining_total -= n
             if dst == me:
                 self._deliver_bulk_here(
@@ -839,10 +851,7 @@ class SchemeBase:
     def _src_breakdown(self, msg: NetMessage, payload: BulkBatch):
         if payload.src_ids is not None:
             return payload.src_ids, payload.src_counts
-        return (
-            np.array([msg.src_worker], dtype=np.int64),
-            np.array([payload.count], dtype=np.int64),
-        )
+        return [msg.src_worker], [payload.count]
 
     # -- final delivery -------------------------------------------------
     # ``t0`` is the simulated time a within-process section send (or

@@ -8,9 +8,7 @@ aggregated ``(z/g) * alpha + beta*b*z``).
 
 from __future__ import annotations
 
-from typing import Iterable
-
-import numpy as np
+from typing import Iterable, List
 
 from repro.tram.item import BulkBatch, Item, ItemBatch
 from repro.tram.schemes.base import Buffer, SchemeBase
@@ -28,13 +26,14 @@ class DirectScheme(SchemeBase):
             ctx, ItemBatch([item]), 1, dst_process, item.dst, full=True
         )
 
-    def _insert_bulk(self, ctx, src: int, counts: np.ndarray, total: int) -> None:
+    def _insert_bulk(self, ctx, src: int, counts: List[int], total: int) -> None:
         now = ctx.now
         machine = self.rt.machine
-        for dst in np.nonzero(counts)[0]:
-            dst = int(dst)
+        for dst, n in enumerate(counts):
+            if not n:
+                continue
             dst_process = machine.process_of_worker(dst)
-            for _ in range(int(counts[dst])):
+            for _ in range(n):
                 batch = BulkBatch(
                     count=1,
                     dst_ids=None,

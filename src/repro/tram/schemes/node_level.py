@@ -24,16 +24,15 @@ node-wide atomic contention.
 
 from __future__ import annotations
 
-from typing import Iterable
-
-import numpy as np
+import operator
+from typing import Iterable, List
 
 from repro.errors import ConfigError
 from repro.network.message import NetMessage
 from repro.obs.spans import MsgSpan
 from repro.tram.buffer import proportional_take
 from repro.tram.item import BulkBatch, Item, ItemBatch
-from repro.tram.schemes.base import Buffer, SchemeBase
+from repro.tram.schemes.base import Buffer, SchemeBase, nonzero_sections
 
 
 class WNsScheme(SchemeBase):
@@ -61,9 +60,7 @@ class WNsScheme(SchemeBase):
             if item_mode:
                 buf = self._new_item_buffer(dest, owner=src)
             else:
-                dst_ids = np.array(
-                    self.rt.machine.workers_of_node(dst_node), dtype=np.int64
-                )
+                dst_ids = self.rt.machine.workers_of_node(dst_node)
                 buf = self._new_count_buffer(dest, dst_ids=dst_ids, owner=src)
             bufs[dst_node] = buf
         elif item_mode != hasattr(buf, "items"):
@@ -81,22 +78,15 @@ class WNsScheme(SchemeBase):
         if not self._maybe_priority_flush(ctx, buf, item):
             self._drain_full(ctx, buf)
 
-    def _insert_bulk(self, ctx, src: int, counts: np.ndarray, total: int) -> None:
+    def _insert_bulk(self, ctx, src: int, counts: List[int], total: int) -> None:
         ctx.charge(
             total * self.rt.costs.item_insert_ns * self._insert_penalty(src)
         )
-        machine = self.rt.machine
-        wpn = machine.workers_per_node
-        per_node = counts.reshape(-1, wpn).sum(axis=1)
+        wpn = self.rt.machine.workers_per_node
         now = ctx.now
-        for node in np.nonzero(per_node)[0]:
-            node = int(node)
+        for node, section, n in nonzero_sections(counts, wpn):
             buf = self._get(src, node, item_mode=False)
-            buf.add_counts(
-                int(per_node[node]),
-                now,
-                dst_slot_counts=counts[node * wpn : (node + 1) * wpn],
-            )
+            buf.add_counts(n, now, dst_slot_counts=section)
             self._arm_timer(buf, src)
             self._drain_full(ctx, buf)
 
@@ -198,26 +188,24 @@ class WNsScheme(SchemeBase):
         # Bulk: split per destination process, pro-rata on sources/time.
         ctx.charge(costs.group_cost_ns(payload.count, wpn))
         self.stats.group_elements += payload.count + wpn
-        src_ids, src_counts = self._src_breakdown(msg, payload)
-        remaining_src = src_counts.copy()
+        src_ids, remaining_src = self._src_breakdown(msg, payload)
         remaining_total = payload.count
         mean_t = payload.t_sum / payload.count
         t = machine.workers_per_process
         dst_ids = payload.dst_ids
         dst_counts = payload.dst_counts
-        for pid in machine.processes_of_node(node):
-            lo = (pid - machine.processes_of_node(node)[0]) * t
+        for lo, pid in zip(range(0, wpn, t), machine.processes_of_node(node)):
             section = dst_counts[lo : lo + t]
-            n = int(section.sum())
+            n = sum(section)
             if n == 0:
                 continue
             section_src = proportional_take(remaining_src, n, remaining_total)
-            remaining_src = remaining_src - section_src
+            remaining_src = list(map(operator.sub, remaining_src, section_src))
             remaining_total -= n
             sub = BulkBatch(
                 count=n,
                 dst_ids=dst_ids[lo : lo + t],
-                dst_counts=section.copy(),
+                dst_counts=section,
                 src_ids=src_ids,
                 src_counts=section_src,
                 t_sum=n * mean_t,
@@ -252,13 +240,13 @@ class WNsScheme(SchemeBase):
     def _dispatch_local_bulk(self, ctx, sub: BulkBatch) -> None:
         me = ctx.worker.wid
         mean_t = sub.t_sum / sub.count
-        remaining_src = sub.src_counts.copy()
+        remaining_src = sub.src_counts
         remaining_total = sub.count
-        for slot in np.nonzero(sub.dst_counts)[0]:
-            dst = int(sub.dst_ids[slot])
-            n = int(sub.dst_counts[slot])
+        for dst, n in zip(sub.dst_ids, sub.dst_counts):
+            if not n:
+                continue
             section_src = proportional_take(remaining_src, n, remaining_total)
-            remaining_src = remaining_src - section_src
+            remaining_src = list(map(operator.sub, remaining_src, section_src))
             remaining_total -= n
             if dst == me:
                 self._deliver_bulk_here(
@@ -369,12 +357,8 @@ class NNScheme(WNsScheme):
             if item_mode:
                 buf = self._new_item_buffer(dest, owner=owner)
             else:
-                dst_ids = np.array(
-                    machine.workers_of_node(dst_node), dtype=np.int64
-                )
-                src_ids = np.array(
-                    machine.workers_of_node(src_node), dtype=np.int64
-                )
+                dst_ids = machine.workers_of_node(dst_node)
+                src_ids = machine.workers_of_node(src_node)
                 buf = self._new_count_buffer(
                     dest, dst_ids=dst_ids, src_ids=src_ids, owner=owner
                 )
@@ -401,7 +385,7 @@ class NNScheme(WNsScheme):
         if not self._maybe_priority_flush(ctx, buf, item):
             self._drain_full(ctx, buf)
 
-    def _insert_bulk(self, ctx, src: int, counts: np.ndarray, total: int) -> None:
+    def _insert_bulk(self, ctx, src: int, counts: List[int], total: int) -> None:
         machine = self.rt.machine
         src_node = machine.node_of_worker(src)
         ctx.charge(
@@ -410,17 +394,10 @@ class NNScheme(WNsScheme):
         self.stats.atomic_inserts += total
         wpn = machine.workers_per_node
         src_slot = src - machine.workers_of_node(src_node).start
-        per_node = counts.reshape(-1, wpn).sum(axis=1)
         now = ctx.now
-        for node in np.nonzero(per_node)[0]:
-            node = int(node)
+        for node, section, n in nonzero_sections(counts, wpn):
             buf = self._get(src, node, item_mode=False)
-            buf.add_counts(
-                int(per_node[node]),
-                now,
-                dst_slot_counts=counts[node * wpn : (node + 1) * wpn],
-                src_slot=src_slot,
-            )
+            buf.add_counts(n, now, dst_slot_counts=section, src_slot=src_slot)
             self._arm_timer(buf, src)
             self._drain_full(ctx, buf)
 

@@ -16,13 +16,11 @@ workers may fill — and send — them.
 
 from __future__ import annotations
 
-from typing import Iterable
-
-import numpy as np
+from typing import Iterable, List
 
 from repro.errors import ConfigError
 from repro.tram.item import Item
-from repro.tram.schemes.base import Buffer, SchemeBase
+from repro.tram.schemes.base import Buffer, SchemeBase, nonzero_sections
 
 
 class PPScheme(SchemeBase):
@@ -54,12 +52,8 @@ class PPScheme(SchemeBase):
             if item_mode:
                 buf = self._new_item_buffer(dest, owner=owner)
             else:
-                dst_ids = np.array(
-                    machine.workers_of_process(dst_process), dtype=np.int64
-                )
-                src_ids = np.array(
-                    machine.workers_of_process(src_process), dtype=np.int64
-                )
+                dst_ids = machine.workers_of_process(dst_process)
+                src_ids = machine.workers_of_process(src_process)
                 buf = self._new_count_buffer(
                     dest, dst_ids=dst_ids, src_ids=src_ids, owner=owner
                 )
@@ -86,7 +80,7 @@ class PPScheme(SchemeBase):
         if not self._maybe_priority_flush(ctx, buf, item):
             self._drain_full(ctx, buf)
 
-    def _insert_bulk(self, ctx, src: int, counts: np.ndarray, total: int) -> None:
+    def _insert_bulk(self, ctx, src: int, counts: List[int], total: int) -> None:
         machine = self.rt.machine
         t = machine.workers_per_process
         src_process = machine.process_of_worker(src)
@@ -97,17 +91,10 @@ class PPScheme(SchemeBase):
         )
         self.stats.atomic_inserts += total
         src_slot = machine.local_rank_of_worker(src)
-        per_proc = counts.reshape(-1, t).sum(axis=1)
         now = ctx.now
-        for p in np.nonzero(per_proc)[0]:
-            p = int(p)
+        for p, section, n in nonzero_sections(counts, t):
             buf = self._get(src_process, p, item_mode=False)
-            buf.add_counts(
-                int(per_proc[p]),
-                now,
-                dst_slot_counts=counts[p * t : (p + 1) * t],
-                src_slot=src_slot,
-            )
+            buf.add_counts(n, now, dst_slot_counts=section, src_slot=src_slot)
             self._arm_timer(buf, src)
             self._drain_full(ctx, buf)
 

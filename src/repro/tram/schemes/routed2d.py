@@ -24,8 +24,6 @@ from __future__ import annotations
 import math
 from typing import Iterable, Tuple
 
-import numpy as np
-
 from repro.errors import ConfigError
 from repro.tram.item import Item, ItemBatch
 from repro.tram.schemes.base import Buffer, SchemeBase

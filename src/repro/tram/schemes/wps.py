@@ -10,13 +10,11 @@ O(g + t) grouping pass on the receiving PE before local section sends.
 
 from __future__ import annotations
 
-from typing import Iterable
-
-import numpy as np
+from typing import Iterable, List
 
 from repro.errors import ConfigError
 from repro.tram.item import Item
-from repro.tram.schemes.base import Buffer, SchemeBase
+from repro.tram.schemes.base import Buffer, SchemeBase, nonzero_sections
 
 
 class WPsScheme(SchemeBase):
@@ -39,9 +37,7 @@ class WPsScheme(SchemeBase):
             if item_mode:
                 buf = self._new_item_buffer(dest, owner=src)
             else:
-                dst_ids = np.array(
-                    self.rt.machine.workers_of_process(dst_process), dtype=np.int64
-                )
+                dst_ids = self.rt.machine.workers_of_process(dst_process)
                 buf = self._new_count_buffer(dest, dst_ids=dst_ids, owner=src)
             bufs[dst_process] = buf
         elif item_mode != hasattr(buf, "items"):
@@ -60,19 +56,15 @@ class WPsScheme(SchemeBase):
         if not self._maybe_priority_flush(ctx, buf, item):
             self._drain_full(ctx, buf)
 
-    def _insert_bulk(self, ctx, src: int, counts: np.ndarray, total: int) -> None:
+    def _insert_bulk(self, ctx, src: int, counts: List[int], total: int) -> None:
         ctx.charge(
             total * self.rt.costs.item_insert_ns * self._insert_penalty(src)
         )
         t = self.rt.machine.workers_per_process
-        per_proc = counts.reshape(-1, t).sum(axis=1)
         now = ctx.now
-        for p in np.nonzero(per_proc)[0]:
-            p = int(p)
+        for p, section, n in nonzero_sections(counts, t):
             buf = self._get(src, p, item_mode=False)
-            buf.add_counts(
-                int(per_proc[p]), now, dst_slot_counts=counts[p * t : (p + 1) * t]
-            )
+            buf.add_counts(n, now, dst_slot_counts=section)
             self._arm_timer(buf, src)
             self._drain_full(ctx, buf)
 

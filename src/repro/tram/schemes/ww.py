@@ -10,9 +10,7 @@ Fig 9/11 analysis) and why the memory overhead is ``g*m*N*t`` per core
 
 from __future__ import annotations
 
-from typing import Iterable
-
-import numpy as np
+from typing import Iterable, List
 
 from repro.errors import ConfigError
 from repro.tram.item import Item
@@ -57,15 +55,16 @@ class WWScheme(SchemeBase):
         if not self._maybe_priority_flush(ctx, buf, item):
             self._drain_full(ctx, buf)
 
-    def _insert_bulk(self, ctx, src: int, counts: np.ndarray, total: int) -> None:
+    def _insert_bulk(self, ctx, src: int, counts: List[int], total: int) -> None:
         ctx.charge(
             total * self.rt.costs.item_insert_ns * self._insert_penalty(src)
         )
         now = ctx.now
-        for dst in np.nonzero(counts)[0]:
-            dst = int(dst)
+        for dst, n in enumerate(counts):
+            if not n:
+                continue
             buf = self._get(src, dst, item_mode=False)
-            buf.add_counts(int(counts[dst]), now)
+            buf.add_counts(n, now)
             self._arm_timer(buf, src)
             self._drain_full(ctx, buf)
 

@@ -669,9 +669,27 @@ def _journal_points(journal):
     return [d for d in docs if d.get("kind") == "point"]
 
 
+def _live_group_members(pgid):
+    """Pids of the non-zombie processes in process group ``pgid``."""
+    members = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            stat = Path("/proc", entry, "stat").read_text()
+        except OSError:
+            continue  # exited while we looked
+        # After the parenthesised command: state, ppid, pgrp, ...
+        state, _ppid, pgrp = stat[stat.rindex(")") + 2:].split()[:3]
+        if int(pgrp) == pgid and state != "Z":
+            members.append(int(entry))
+    return members
+
+
 def _interrupt_mid_sweep(tmp_path, signum):
-    """Start the sweep CLI, signal it once >=2 points are journaled,
-    and return (returncode, cache_dir, journal_path)."""
+    """Start the sweep CLI in its own session, signal it once >=2 points
+    are journaled, and return (returncode, cache_dir, journal_path,
+    pgid) — the pgid names the sweep's process group, workers included."""
     import subprocess
 
     cache = tmp_path / "cache"
@@ -682,6 +700,7 @@ def _interrupt_mid_sweep(tmp_path, signum):
         env=env,
         stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL,
+        start_new_session=True,
     )
     try:
         deadline = time.monotonic() + 60
@@ -705,7 +724,7 @@ def _interrupt_mid_sweep(tmp_path, signum):
         if proc.poll() is None:
             proc.kill()
             proc.wait()
-    return rc, cache, journal
+    return rc, cache, journal, proc.pid
 
 
 @pytest.mark.slow
@@ -719,7 +738,7 @@ class TestInterruptSemantics:
         return json.loads(ref_p.read_text())
 
     def test_sigint_drains_to_exit_3_then_resume_matches(self, tmp_path):
-        rc, cache, journal = _interrupt_mid_sweep(tmp_path, signal.SIGINT)
+        rc, cache, journal, _ = _interrupt_mid_sweep(tmp_path, signal.SIGINT)
         assert rc == 3  # graceful drain, not the default 130
         points = _journal_points(journal)  # also: every line valid JSON
         assert 2 <= len(points) < 8
@@ -739,7 +758,7 @@ class TestInterruptSemantics:
         assert canonical_metrics_bytes(resumed) == canonical_metrics_bytes(ref)
 
     def test_parent_sigkill_resumes_from_journal(self, tmp_path):
-        rc, cache, journal = _interrupt_mid_sweep(tmp_path, signal.SIGKILL)
+        rc, cache, journal, _ = _interrupt_mid_sweep(tmp_path, signal.SIGKILL)
         assert rc == -signal.SIGKILL
         points = _journal_points(journal)  # fsync'd prefix survived
         assert len(points) >= 2
@@ -762,3 +781,25 @@ class TestInterruptSemantics:
         assert summary["executed"] == 8 - summary["cache_hits"]
         ref = self._reference_artifact(tmp_path)
         assert canonical_metrics_bytes(resumed) == canonical_metrics_bytes(ref)
+
+    @pytest.mark.skipif(
+        not Path("/proc/self/stat").exists(), reason="reads Linux /proc"
+    )
+    def test_parent_sigkill_leaves_no_orphan_workers(self, tmp_path):
+        """Pool workers notice a SIGKILLed parent and exit on their own:
+        they must not hold their own task pipe open (no EOF otherwise)
+        nor keep the parent's SIGTERM drain handler."""
+        rc, _, _, pgid = _interrupt_mid_sweep(tmp_path, signal.SIGKILL)
+        assert rc == -signal.SIGKILL
+        try:
+            # A worker mid-point finishes it first (well under a second
+            # at this grid size), then sees EOF on its task pipe.
+            deadline = time.monotonic() + 10
+            while _live_group_members(pgid) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert _live_group_members(pgid) == []
+        finally:
+            try:
+                os.killpg(pgid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass

@@ -92,3 +92,41 @@ class TestBulkEquivalence:
         reference = totals["WW"]
         for scheme, received in totals.items():
             assert (received == reference).all(), scheme
+
+    @given(
+        st.lists(st.integers(0, 200), min_size=8, max_size=8),
+        st.integers(1, 32),
+        st.sampled_from(("WW", "WPs", "WsP", "PP", "WNs", "NN")),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_any_int_sequence_is_accepted(self, per_dst, g, scheme):
+        """``insert_bulk`` takes any int sequence: an integer array, a
+        list and a tuple of the same counts yield identical per-source
+        deliveries, and the caller's sequence is left untouched."""
+        outcomes = []
+        for counts in (np.array(per_dst, dtype=np.int64), list(per_dst),
+                       tuple(per_dst)):
+            before = list(counts)
+            rt = RuntimeSystem(MACHINE, seed=0)
+            got = []
+
+            def deliver(ctx, wid, n, si, sc, got=got):
+                assert isinstance(sc, list) and sum(sc) == n
+                got.append((wid, n, list(si), sc))
+
+            tram = make_scheme(
+                scheme, rt, TramConfig(buffer_items=g, item_bytes=8),
+                deliver_bulk=deliver,
+            )
+
+            def driver(ctx, tram=tram, counts=counts):
+                tram.insert_bulk(ctx, counts)
+                tram.flush(ctx)
+
+            rt.post(1, driver)
+            rt.run(max_events=1_000_000)
+            assert list(counts) == before
+            assert sum(n for _, n, _, _ in got) == sum(per_dst)
+            outcomes.append((got, rt.engine.now))
+        assert outcomes[1] == outcomes[0]
+        assert outcomes[2] == outcomes[0]

@@ -1,6 +1,5 @@
 """Unit tests for aggregation buffers and the proportional split."""
 
-import numpy as np
 import pytest
 
 from repro.errors import SimulationError
@@ -14,37 +13,52 @@ def item(dst=0, src=1, t=0.0, priority=None):
 
 class TestProportionalTake:
     def test_exact_fractions(self):
-        arr = np.array([10, 20, 30], dtype=np.int64)
-        take = proportional_take(arr, 30, 60)
-        assert list(take) == [5, 10, 15]
+        take = proportional_take([10, 20, 30], 30, 60)
+        assert take == [5, 10, 15]
 
     def test_sum_invariant_with_remainders(self):
-        arr = np.array([7, 11, 3, 19], dtype=np.int64)
-        take = proportional_take(arr, 13, int(arr.sum()))
-        assert take.sum() == 13
-        assert (take >= 0).all()
-        assert (take <= arr).all()
+        arr = [7, 11, 3, 19]
+        take = proportional_take(arr, 13, sum(arr))
+        assert sum(take) == 13
+        assert all(t >= 0 for t in take)
+        assert all(t <= a for t, a in zip(take, arr))
+        assert all(type(t) is int for t in take)
 
     def test_take_all(self):
-        arr = np.array([4, 0, 6], dtype=np.int64)
+        arr = [4, 0, 6]
         take = proportional_take(arr, 10, 10)
-        assert list(take) == [4, 0, 6]
+        assert take == [4, 0, 6]
+        assert take is not arr  # a copy: callers may mutate either side
+
+    def test_single_slot(self):
+        assert proportional_take([9], 4, 9) == [4]
+        assert proportional_take((9,), 0, 9) == [0]
 
     def test_take_more_than_total_rejected(self):
         with pytest.raises(SimulationError):
-            proportional_take(np.array([1, 2]), 5, 3)
+            proportional_take([1, 2], 5, 3)
 
     def test_deterministic(self):
-        arr = np.array([5, 5, 5], dtype=np.int64)
-        a = proportional_take(arr.copy(), 7, 15)
-        b = proportional_take(arr.copy(), 7, 15)
-        assert list(a) == list(b)
+        arr = [5, 5, 5]
+        a = proportional_take(list(arr), 7, 15)
+        b = proportional_take(list(arr), 7, 15)
+        assert a == b
+
+    def test_ties_go_to_lowest_slot(self):
+        # rem = [5, 5, 5] for every slot: the one leftover item goes to
+        # slot 0, then slot 1 (stable, lowest index first).
+        assert proportional_take([5, 5, 5], 7, 15) == [3, 2, 2]
+        assert proportional_take([5, 5, 5], 8, 15) == [3, 3, 2]
+
+    def test_input_not_modified(self):
+        arr = [3, 1, 4, 1, 5]
+        proportional_take(arr, 7, 14)
+        assert arr == [3, 1, 4, 1, 5]
 
     def test_zero_slots_untouched(self):
-        arr = np.array([0, 10, 0, 10], dtype=np.int64)
-        take = proportional_take(arr, 11, 20)
+        take = proportional_take([0, 10, 0, 10], 11, 20)
         assert take[0] == 0 and take[2] == 0
-        assert take.sum() == 11
+        assert sum(take) == 11
 
 
 class TestItemBuffer:
@@ -114,29 +128,33 @@ class TestCountBuffer:
         assert buf.t_min == float("inf")
 
     def test_destination_slots(self):
-        dst_ids = np.array([4, 5, 6, 7])
-        buf = CountBuffer(100, dst_ids=dst_ids)
-        buf.add_counts(6, now=0.0, dst_slot_counts=np.array([1, 2, 3, 0]))
-        buf.add_counts(4, now=0.0, dst_slot_counts=np.array([0, 0, 0, 4]))
+        buf = CountBuffer(100, dst_ids=range(4, 8))
+        buf.add_counts(6, now=0.0, dst_slot_counts=[1, 2, 3, 0])
+        buf.add_counts(4, now=0.0, dst_slot_counts=(0, 0, 0, 4))
+        assert buf.dst_counts == [1, 2, 3, 4]
         batch = buf.take(5)
-        assert batch.dst_counts.sum() == 5
-        assert (batch.dst_counts <= np.array([1, 2, 3, 4])).all()
+        assert sum(batch.dst_counts) == 5
+        assert all(t <= a for t, a in zip(batch.dst_counts, [1, 2, 3, 4]))
         assert list(batch.dst_ids) == [4, 5, 6, 7]
-        assert buf.dst_counts.sum() == 5
+        assert sum(buf.dst_counts) == 5
+        assert [a + b for a, b in zip(batch.dst_counts, buf.dst_counts)] == [
+            1, 2, 3, 4,
+        ]
 
     def test_source_slots(self):
-        src_ids = np.array([0, 1])
-        buf = CountBuffer(100, src_ids=src_ids)
+        buf = CountBuffer(100, src_ids=[0, 1])
         buf.add_counts(4, now=0.0, src_slot=0)
         buf.add_counts(6, now=0.0, src_slot=1)
         batch = buf.take(5)
-        assert batch.src_counts.sum() == 5
+        assert sum(batch.src_counts) == 5
+        assert batch.src_counts == [2, 3]
+        assert buf.src_counts == [2, 3]
 
     def test_missing_slot_info_rejected(self):
-        buf = CountBuffer(10, dst_ids=np.array([0, 1]))
+        buf = CountBuffer(10, dst_ids=[0, 1])
         with pytest.raises(SimulationError):
             buf.add_counts(1, now=0.0)
-        buf2 = CountBuffer(10, src_ids=np.array([0, 1]))
+        buf2 = CountBuffer(10, src_ids=[0, 1])
         with pytest.raises(SimulationError):
             buf2.add_counts(1, now=0.0)
 

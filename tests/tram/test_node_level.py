@@ -59,6 +59,7 @@ class TestNodeLevelDelivery:
         rt.run(max_events=500_000)
         assert tram.stats.items_delivered == 30 * W * W
         assert (per_src == 30 * W).all()
+        assert int(per_src.sum()) == 30 * W * W
 
     def test_idle_flush_supported(self, scheme):
         rt, tram, got = build(scheme, idle_flush=True)

@@ -75,7 +75,11 @@ class TestBulkConservation:
 
         def deliver(ctx, wid, count, src_ids, src_counts):
             received[wid] += count
-            assert src_counts.sum() == count
+            # Callbacks receive plain int lists (the bulk-path contract).
+            assert isinstance(src_counts, list)
+            assert all(type(c) is int and c >= 0 for c in src_counts)
+            assert len(src_ids) == len(src_counts)
+            assert sum(src_counts) == count
 
         rt, tram = build(scheme, g=16, deliver_bulk=deliver)
         W = rt.machine.total_workers
@@ -96,7 +100,8 @@ class TestBulkConservation:
         per_src = np.zeros(8, dtype=np.int64)
 
         def deliver(ctx, wid, count, src_ids, src_counts):
-            per_src[src_ids] += src_counts
+            for sid, c in zip(src_ids, src_counts):
+                per_src[sid] += c
 
         rt, tram = build(scheme, g=16, deliver_bulk=deliver)
         W = rt.machine.total_workers
