@@ -7,6 +7,8 @@ keyed by a stable hash over everything that determines its result:
 * the resolved parameters and the seed,
 * the cost-model constants (so recalibrating the simulator invalidates
   every cached point automatically),
+* a fingerprint of the simulator's source (so any code edit that could
+  change a result invalidates every cached point too),
 * the ambient fault plan and flow-control config, when active.
 
 Completed points are persisted as individual JSON artifacts under a
@@ -23,6 +25,7 @@ the execution would have produced.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -31,7 +34,14 @@ from typing import Any, Dict, Iterator, Mapping, Optional
 
 #: Bump on any change that invalidates previously cached points
 #: (entry layout, key ingredients, record semantics).
-CACHE_SCHEMA = "repro.sweep-cache/1"
+CACHE_SCHEMA = "repro.sweep-cache/2"
+
+#: Subpackages of :mod:`repro` whose code determines simulated results.
+#: The harness, observability and analysis layers only run, record or
+#: summarize points, so editing them keeps cached points valid.
+SIM_PACKAGES = (
+    "sim", "runtime", "tram", "network", "machine", "apps", "faults", "flow",
+)
 
 
 def _jsonable(obj: Any) -> Any:
@@ -58,6 +68,28 @@ def cost_model_fingerprint(costs: Any = None) -> Dict[str, Any]:
 
     model = costs if costs is not None else CostModel()
     return dataclasses.asdict(model)
+
+
+@functools.lru_cache(maxsize=None)
+def source_fingerprint() -> str:
+    """sha256 over the source files of :data:`SIM_PACKAGES`.
+
+    Hashes every ``.py`` file's package-relative path and bytes in
+    sorted order. Computed on first use and then memoized for the life
+    of the process (forked sweep workers inherit it), so importing
+    :mod:`repro` stays free of file reads.
+    """
+    import repro
+
+    root = Path(repro.__file__).resolve().parent
+    digest = hashlib.sha256()
+    for package in SIM_PACKAGES:
+        for path in sorted((root / package).rglob("*.py")):
+            digest.update(path.relative_to(root).as_posix().encode("utf-8"))
+            digest.update(b"\0")
+            digest.update(path.read_bytes())
+            digest.update(b"\0")
+    return digest.hexdigest()
 
 
 def point_key(
@@ -87,6 +119,7 @@ def point_key(
         "params": dict(params),
         "seed": int(seed),
         "costs": cost_model_fingerprint(costs),
+        "source": source_fingerprint(),
         "faults": faults,
         "flow": flow,
     }
@@ -103,7 +136,7 @@ class ResultCache:
 
     Entries are plain JSON documents::
 
-        {"schema": "repro.sweep-cache/1", "key": ..., "tag": ...,
+        {"schema": "repro.sweep-cache/2", "key": ..., "tag": ...,
          "params": {...}, "seed": 0, "value": <metric payload>,
          "records": [<run snapshot>, ...], "meta": {"wall_s": ..., ...}}
 

@@ -11,8 +11,9 @@ dropped on replay).
 
 Layout::
 
-    {"kind": "header", "schema": "repro.sweep-journal/1",
-     "fingerprint": <sha256 over tag + grid + seeds + cost model>,
+    {"kind": "header", "schema": "repro.sweep-journal/2",
+     "fingerprint": <sha256 over tag + grid + seeds + cost model
+                     + simulator source>,
      "n_points": 8}
     {"kind": "point", "index": 3, "status": "ok", "value": ..,
      "records": [..], "retries": 0, ...}
@@ -21,7 +22,8 @@ Layout::
 
 The fingerprint pins the journal to one exact sweep: ``--resume``
 replays only a journal whose header matches the grid being executed
-(same tag, same points in the same order, same cost-model constants),
+(same tag, same points in the same order, same cost-model constants,
+same simulator source),
 so a stale journal from a different sweep in the same directory is
 ignored and overwritten rather than corrupting results. Replayed
 entries carry the point's value *and* its observability records, which
@@ -38,7 +40,7 @@ from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Sequence
 
 #: Bump on any change to the record layout or fingerprint ingredients.
-JOURNAL_SCHEMA = "repro.sweep-journal/1"
+JOURNAL_SCHEMA = "repro.sweep-journal/2"
 
 #: Cap on the traceback text persisted per poisoned point.
 _ERROR_CHARS = 4000
@@ -54,17 +56,19 @@ def journal_fingerprint(tag: str, specs: Sequence[Any]) -> str:
     """Stable identity of one sweep grid.
 
     Folds in the point tag, every point's (params, seed) in grid order,
-    and the cost-model fingerprint — the same ingredients that address
-    the result cache — so a journal can never replay into a different
-    sweep (or into the same sweep after a simulator recalibration).
+    the cost-model fingerprint and the simulator source fingerprint —
+    the same ingredients that address the result cache — so a journal
+    can never replay into a different sweep (or into the same sweep
+    after a simulator recalibration or code edit).
     """
-    from repro.harness.cache import cost_model_fingerprint
+    from repro.harness.cache import cost_model_fingerprint, source_fingerprint
 
     payload = {
         "schema": JOURNAL_SCHEMA,
         "tag": tag,
         "points": [[dict(s.params), int(s.seed)] for s in specs],
         "costs": cost_model_fingerprint(None),
+        "source": source_fingerprint(),
     }
     blob = json.dumps(
         payload, sort_keys=True, separators=(",", ":"), default=_jsonable

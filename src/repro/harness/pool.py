@@ -57,6 +57,7 @@ to the serial path.
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import os
 import random
@@ -342,9 +343,16 @@ def _execute_point(
     report there naturally and the new tail of ``records`` is the
     capture; otherwise (when records are still needed, e.g. to populate
     a cache entry) the point runs under its own private session.
+
+    Earlier points' garbage is collected first. A finished runtime is
+    one large reference cycle that only the cyclic collector frees, and
+    :meth:`~repro.sim.engine.Engine.run` spaces young-generation
+    collections out, so without this the full collection that frees it
+    could fall arbitrarily late and hold several runtimes at once.
     """
     from repro.obs import ObsConfig, ObsSession, active_session
 
+    gc.collect()
     session = active_session()
     own: Optional[ObsSession] = None
     if collect_obs and session is None:

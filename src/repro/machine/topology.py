@@ -20,6 +20,7 @@ hand-rolls a division.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.errors import ConfigError
 
@@ -76,17 +77,22 @@ class MachineConfig:
     # ------------------------------------------------------------------
     # Sizes
     # ------------------------------------------------------------------
-    @property
+    # Computed once per instance. ``cached_property`` stores into the
+    # instance ``__dict__`` without going through the frozen
+    # ``__setattr__``, and the cached values are not dataclass fields,
+    # so ``fields()``, ``asdict``, ``==``, ``hash`` and ``repr`` ignore
+    # them.
+    @cached_property
     def total_processes(self) -> int:
         """``N`` in the paper's analysis: total process count."""
         return self.nodes * self.processes_per_node
 
-    @property
+    @cached_property
     def total_workers(self) -> int:
         """Total worker PE count across the machine."""
         return self.total_processes * self.workers_per_process
 
-    @property
+    @cached_property
     def workers_per_node(self) -> int:
         """Worker PEs per physical node."""
         return self.processes_per_node * self.workers_per_process
@@ -94,46 +100,57 @@ class MachineConfig:
     # ------------------------------------------------------------------
     # Index maps
     # ------------------------------------------------------------------
+    # Each map validates with one inline range compare and calls a
+    # ``_check_*`` helper only to raise the ConfigError.
     def process_of_worker(self, worker: int) -> int:
         """Global process id owning global worker ``worker``."""
-        self._check_worker(worker)
+        if not 0 <= worker < self.total_workers:
+            self._check_worker(worker)
         return worker // self.workers_per_process
 
     def node_of_worker(self, worker: int) -> int:
         """Physical node hosting global worker ``worker``."""
-        return self.node_of_process(self.process_of_worker(worker))
+        if not 0 <= worker < self.total_workers:
+            self._check_worker(worker)
+        return worker // self.workers_per_node
 
     def node_of_process(self, process: int) -> int:
         """Physical node hosting global process ``process``."""
-        self._check_process(process)
+        if not 0 <= process < self.total_processes:
+            self._check_process(process)
         return process // self.processes_per_node
 
     def workers_of_process(self, process: int) -> range:
         """Global worker ids belonging to ``process``."""
-        self._check_process(process)
+        if not 0 <= process < self.total_processes:
+            self._check_process(process)
         start = process * self.workers_per_process
         return range(start, start + self.workers_per_process)
 
     def processes_of_node(self, node: int) -> range:
         """Global process ids on ``node``."""
-        self._check_node(node)
+        if not 0 <= node < self.nodes:
+            self._check_node(node)
         start = node * self.processes_per_node
         return range(start, start + self.processes_per_node)
 
     def workers_of_node(self, node: int) -> range:
         """Global worker ids on ``node``."""
-        self._check_node(node)
+        if not 0 <= node < self.nodes:
+            self._check_node(node)
         start = node * self.workers_per_node
         return range(start, start + self.workers_per_node)
 
     def local_rank_of_worker(self, worker: int) -> int:
         """Worker's rank within its process (``0 .. t-1``)."""
-        self._check_worker(worker)
+        if not 0 <= worker < self.total_workers:
+            self._check_worker(worker)
         return worker % self.workers_per_process
 
     def worker_id(self, process: int, local_rank: int) -> int:
         """Global worker id from (process, within-process rank)."""
-        self._check_process(process)
+        if not 0 <= process < self.total_processes:
+            self._check_process(process)
         if not 0 <= local_rank < self.workers_per_process:
             raise ConfigError(
                 f"local_rank {local_rank} out of range "
@@ -146,11 +163,21 @@ class MachineConfig:
     # ------------------------------------------------------------------
     def same_process(self, a: int, b: int) -> bool:
         """Whether workers ``a`` and ``b`` share a process."""
-        return self.process_of_worker(a) == self.process_of_worker(b)
+        n = self.total_workers
+        if not (0 <= a < n and 0 <= b < n):
+            self._check_worker(a)
+            self._check_worker(b)
+        wpp = self.workers_per_process
+        return a // wpp == b // wpp
 
     def same_node(self, a: int, b: int) -> bool:
         """Whether workers ``a`` and ``b`` share a physical node."""
-        return self.node_of_worker(a) == self.node_of_worker(b)
+        n = self.total_workers
+        if not (0 <= a < n and 0 <= b < n):
+            self._check_worker(a)
+            self._check_worker(b)
+        wpn = self.workers_per_node
+        return a // wpn == b // wpn
 
     # ------------------------------------------------------------------
     # Validation helpers

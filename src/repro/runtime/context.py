@@ -33,23 +33,21 @@ class ExecContext:
     worker:
         The PE executing the task.
     start:
-        Simulated time the task started (== ``now`` for handlers).
+        Simulated time the task started.
+    now:
+        Logical time of the handler; equal to ``start``.
     cost:
         CPU nanoseconds charged so far.
     """
 
-    __slots__ = ("worker", "start", "cost", "_emissions")
+    __slots__ = ("worker", "start", "now", "cost", "_emissions")
 
     def __init__(self, worker: "Worker", start: float) -> None:
         self.worker = worker
         self.start = start
+        self.now = start
         self.cost = 0.0
         self._emissions: List[Tuple[float, Callable[..., Any], tuple]] = []
-
-    @property
-    def now(self) -> float:
-        """Logical time of the handler (task start time)."""
-        return self.start
 
     @property
     def rt(self):

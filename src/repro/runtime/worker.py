@@ -80,6 +80,7 @@ class Worker:
         "_expedited",
         "_busy",
         "_noise_mult",
+        "_start_next_cb",
         "dead",
     )
 
@@ -95,6 +96,9 @@ class Worker:
         self._normal: Deque[Tuple[Callable[..., Any], tuple]] = deque()
         self._expedited: Deque[Tuple[Callable[..., Any], tuple]] = deque()
         self._busy = False
+        #: Bound ``_start_next``, created once: each task completion
+        #: schedules it directly.
+        self._start_next_cb = self._start_next
         #: Set by the crash fabric when the owning process dies; a dead
         #: worker accepts no work and counts whatever reaches it as
         #: lost-to-crash.
@@ -172,21 +176,22 @@ class Worker:
     # ------------------------------------------------------------------
     # Server loop
     # ------------------------------------------------------------------
-    def _pop(self):
-        if self._expedited:
-            return self._expedited.popleft()
-        if self._normal:
-            return self._normal.popleft()
-        return None
-
     def _start_next(self) -> None:
+        """Start the next queued task, or record the busy->idle
+        transition (firing idle hooks) when both lanes are empty.
+
+        Runs when work is posted to an idle PE and, scheduled at the
+        completion time, after every task."""
         if self.dead:
             # An in-flight task's completion event may still fire after
             # the crash; swallow it without idle-hook side effects.
             self._busy = False
             return
-        task = self._pop()
-        if task is None:
+        if self._expedited:
+            fn, args = self._expedited.popleft()
+        elif self._normal:
+            fn, args = self._normal.popleft()
+        else:
             was_busy = self._busy
             self._busy = False
             if was_busy:
@@ -195,23 +200,20 @@ class Worker:
             return
         self._busy = True
         engine = self.rt.engine
-        ctx = ExecContext(self, engine.now)
-        fn, args = task
+        now = engine.now
+        ctx = ExecContext(self, now)
         fn(ctx, *args)
         cost = ctx.cost * self._noise_mult
-        finish = engine.now + cost
+        finish = now + cost
+        call_at = engine.call_at
         for delay, efn, eargs in ctx._emissions:
-            engine.call_at(finish + delay, efn, eargs)
-        self.stats.tasks_executed += 1
-        self.stats.busy_ns += cost
+            call_at(finish + delay, efn, eargs)
+        stats = self.stats
+        stats.tasks_executed += 1
+        stats.busy_ns += cost
         if self.task_hook is not None:
             self.task_hook(self, fn, ctx)
-        engine.call_at(finish, self._on_finish)
-
-    def _on_finish(self) -> None:
-        # _start_next observes _busy=True and either starts the next task
-        # or records the busy->idle transition (firing idle hooks).
-        self._start_next()
+        call_at(finish, self._start_next_cb)
 
     def _run_idle_hooks(self) -> None:
         for hook in self.idle_hooks:

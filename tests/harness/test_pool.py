@@ -4,8 +4,10 @@ import functools
 import json
 import os
 import random
+import gc
 import signal
 import time
+import weakref
 from pathlib import Path
 
 import pytest
@@ -46,6 +48,24 @@ def _ambient(seed, *, x):
     # Deliberately leaks dependence on the global RNG the executor
     # scrambles — results must differ between serial and parallel.
     return random.random()
+
+
+class _Cycle:
+    """Self-referencing garbage: only the cyclic collector frees it."""
+
+    def __init__(self):
+        self.me = self
+
+
+_FINALIZED = []
+
+
+def _cyclic(seed, *, x):
+    # Reports how many earlier points' cycles were already freed, then
+    # leaves one more cycle behind.
+    freed = len(_FINALIZED)
+    weakref.finalize(_Cycle(), _FINALIZED.append, x)
+    return float(freed)
 
 
 # Chaos point functions keyed off an out-of-band marker directory (env
@@ -268,6 +288,17 @@ class TestMapPointsSerial:
             outcomes = map_points(_square, grid)
             assert ctx.cache_hits == 2 and ctx.executed == 2
         assert [o.value for o in outcomes] == [0.0, 1.0, 4.0, 9.0]
+
+    def test_earlier_points_garbage_collected_first(self):
+        """Each point starts with earlier points' cyclic garbage freed,
+        even with automatic collection off."""
+        _FINALIZED.clear()
+        gc.disable()
+        try:
+            outcomes = map_points(_cyclic, [{"x": i} for i in range(3)])
+        finally:
+            gc.enable()
+        assert [o.value for o in outcomes] == [0.0, 1.0, 2.0]
 
     def test_provenance_recorded(self):
         with pool_session() as ctx:

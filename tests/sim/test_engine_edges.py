@@ -87,6 +87,19 @@ class TestHorizonBoundaries:
         # With nothing to do the clock does not jump to the horizon.
         assert eng.now == 0.0
 
+    def test_queue_drains_before_horizon(self):
+        """The clock is parked at ``until`` only when an event is left
+        queued at or past it; a queue that drains first leaves the clock
+        at the last fired event (the PDES window loop relies on this)."""
+        eng = Engine()
+        fired = []
+        eng.after(5.0, fired.append, "x")
+        stats = eng.run(until=10.0)
+        assert fired == ["x"]
+        assert not stats.horizon_reached
+        assert eng.now == 5.0
+        assert stats.end_time == stats.last_event_time == 5.0
+
     def test_clock_does_not_retreat_after_horizon(self):
         eng = Engine()
         eng.at(200.0, lambda: None)
