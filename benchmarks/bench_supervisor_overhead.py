@@ -1,17 +1,18 @@
 #!/usr/bin/env python
-"""Supervisor and journal overhead benchmark.
+"""Supervisor and cache-write overhead benchmark.
 
 The self-healing machinery in :mod:`repro.harness.pool` must be close
 to free when nothing goes wrong: per-worker dispatch, heartbeat
-tracking, wall-clock deadlines, and the fsync'd sweep journal all sit
-on the hot path of every point. This suite measures that tax on a
-64-point grid of cheap (~few ms) points — where fixed per-point
-overhead is most visible — and reports:
+tracking, wall-clock deadlines, and the fsync'd result-cache write
+that makes a sweep resumable all sit on the hot path of every point.
+This suite measures that tax on a 64-point grid of cheap (~few ms)
+points — where fixed per-point overhead is most visible — and reports:
 
-* ``serial_plain`` / ``serial_journal`` — points/sec serial, without
-  and with the crash-consistent journal (one fsync'd JSONL line per
-  point);
-* ``journal_tax_ms`` — added wall-clock per point from journaling;
+* ``serial_plain`` / ``serial_cached`` — points/sec serial, without
+  and with the result cache (``fresh``, so every point is executed and
+  written: one fsync'd, atomically renamed JSON entry per point);
+* ``cache_write_tax_ms`` — added wall-clock per point from the cache
+  writes;
 * ``parallel_plain`` / ``parallel_supervised`` — points/sec through
   the worker pool, without and with the full supervision feature set
   (retries, per-point timeouts, quarantine);
@@ -51,7 +52,7 @@ REPEATS = 3
 #: Per-point overhead ceilings (milliseconds), enforced under --gate.
 #: Generous enough for a loaded CI runner; an order of magnitude above
 #: the measured cost on an idle workstation.
-JOURNAL_TAX_CEILING_MS = 25.0
+CACHE_WRITE_TAX_CEILING_MS = 25.0
 SUPERVISION_TAX_CEILING_MS = 25.0
 
 
@@ -88,15 +89,15 @@ def run_suite(parallel: int) -> dict:
 
     serial_plain = _best_wall()
     report("serial_plain", n / serial_plain, "points/sec",
-           f"{n} cheap points, serial, no journal")
+           f"{n} cheap points, serial, no cache")
 
     with tempfile.TemporaryDirectory(prefix="bench-supervisor") as td:
-        serial_journal = _best_wall(journal=Path(td) / "journal.jsonl")
-    report("serial_journal", n / serial_journal, "points/sec",
-           "same grid with the fsync'd sweep journal")
-    report("journal_tax_ms",
-           max(0.0, serial_journal - serial_plain) / n * 1000, "ms/point",
-           "added wall-clock per point from journaling")
+        serial_cached = _best_wall(cache_dir=Path(td), fresh=True)
+    report("serial_cached", n / serial_cached, "points/sec",
+           "same grid writing every point to the fsync'd result cache")
+    report("cache_write_tax_ms",
+           max(0.0, serial_cached - serial_plain) / n * 1000, "ms/point",
+           "added wall-clock per point from cache writes")
 
     par_plain = _best_wall(parallel=parallel)
     report("parallel_plain", n / par_plain, "points/sec",
@@ -115,7 +116,7 @@ def run_suite(parallel: int) -> dict:
 def gate(results: dict) -> int:
     failures = []
     for name, ceiling in (
-        ("journal_tax_ms", JOURNAL_TAX_CEILING_MS),
+        ("cache_write_tax_ms", CACHE_WRITE_TAX_CEILING_MS),
         ("supervision_tax_ms", SUPERVISION_TAX_CEILING_MS),
     ):
         got = results[name]["value"]
@@ -132,7 +133,7 @@ def gate(results: dict) -> int:
         for f_ in failures:
             print(f"  - {f_}", file=sys.stderr)
         return 1
-    print("OK: supervision and journal taxes within ceilings",
+    print("OK: supervision and cache-write taxes within ceilings",
           file=sys.stderr)
     return 0
 

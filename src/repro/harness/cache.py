@@ -12,10 +12,11 @@ keyed by a stable hash over everything that determines its result:
 * the ambient fault plan and flow-control config, when active.
 
 Completed points are persisted as individual JSON artifacts under a
-cache directory (``<root>/<key[:2]>/<key>.json``, written atomically),
-so re-runs of identical points are free and an interrupted sweep is
-resumable: the next invocation finds the finished points on disk and
-executes only the missing ones.
+cache directory (``<root>/<key[:2]>/<key>.json``, fsync'd and written
+atomically), so re-runs of identical points are free and an interrupted
+sweep — budget stop, drain signal or ``kill -9`` alike — is resumable:
+the next invocation finds the finished points on disk and executes only
+the missing ones. The cache is the only resume state a sweep has.
 
 The simulator is deterministic per seed, which is what makes caching by
 inputs sound: a hit replays the exact value (and observability records)
@@ -144,9 +145,10 @@ class ResultCache:
     a corrupt or mismatched entry is additionally quarantined once —
     renamed to ``<key>.bad`` — so every later run misses it by file
     absence instead of re-parsing the same broken JSON, and the evidence
-    survives for inspection. Writes are atomic (tempfile +
-    ``os.replace``) so a killed sweep never leaves a half-written entry
-    behind.
+    survives for inspection. Writes are durable and atomic (tempfile,
+    flush + ``os.fsync``, then ``os.replace``), so a killed sweep never
+    leaves a half-written entry behind and an entry's bytes reach stable
+    storage before it becomes visible.
     """
 
     def __init__(self, root: Any) -> None:
@@ -191,7 +193,10 @@ class ResultCache:
         doc["schema"] = CACHE_SCHEMA
         doc["key"] = key
         tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        tmp.write_text(json.dumps(doc, default=_jsonable) + "\n")
+        with tmp.open("w") as fh:
+            fh.write(json.dumps(doc, default=_jsonable) + "\n")
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
         return path
 

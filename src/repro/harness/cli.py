@@ -172,8 +172,9 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         help=(
             "content-addressed result cache directory; completed points "
-            "are persisted there and identical re-runs are free "
-            "(default for 'sweep': .repro-cache/sweep)"
+            "are persisted there and identical re-runs are free, so "
+            "re-running an interrupted sweep over the same directory "
+            "resumes it (default for 'sweep': .repro-cache/sweep)"
         ),
     )
     parallel.add_argument(
@@ -185,15 +186,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--fresh",
         action="store_true",
         help="ignore existing cache entries (still writes fresh ones)",
-    )
-    parallel.add_argument(
-        "--resume",
-        action="store_true",
-        help=(
-            "resume an interrupted sweep: replay the crash-consistent "
-            "journal (and the result cache) before executing anything, "
-            "so only the points the previous run never resolved are run"
-        ),
     )
     fault = parser.add_argument_group("fault tolerance (sweep execution)")
     fault.add_argument(
@@ -217,17 +209,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "wall-clock budget per point in parallel runs; a worker "
             "stuck past it is killed and the attempt counts as a "
             "failure (retried/quarantined per --retries)"
-        ),
-    )
-    fault.add_argument(
-        "--journal",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help=(
-            "append-only JSONL journal of resolved points, fsync'd per "
-            "record (default for 'sweep' with caching on: "
-            "<cache-dir>/sweep-journal.jsonl); --resume replays it"
         ),
     )
     sweep = parser.add_argument_group("generic sweeps ('sweep' target)")
@@ -360,9 +341,6 @@ def _run_sweep_cmd(args) -> int:
             if args.cache_dir is not None
             else Path(".repro-cache") / "sweep"
         )
-    journal = args.journal
-    if journal is None and cache_dir is not None:
-        journal = cache_dir / "sweep-journal.jsonl"
     t0 = time.perf_counter()
     try:
         result = run_sweep(
@@ -382,8 +360,6 @@ def _run_sweep_cmd(args) -> int:
             status_json=args.status_json,
             retries=args.retries,
             point_timeout_s=args.point_timeout,
-            journal=journal,
-            resume=args.resume,
             drain_signals=True,
             sim_parallel=args.sim_parallel,
         )

@@ -27,17 +27,18 @@ dispatches them:
   and the ``repro.run-metrics`` artifact are identical to a serial run
   under every failure mode that ends in success (see
   :func:`repro.harness.artifact.canonical_metrics_bytes`).
-* **Content-addressed caching and a crash-consistent journal.** With a
-  cache directory configured, every completed point is persisted under
-  its :func:`~repro.harness.cache.point_key`; with a journal path
-  configured, every *resolved* point (executed or poisoned) is also
-  appended — fsync'd — to an append-only JSONL journal
-  (:mod:`repro.harness.journal`), so a parent crash or SIGTERM resumes
-  exactly where it left off.
+* **Content-addressed caching.** With a cache directory configured,
+  every completed point is persisted — fsync'd, then atomically
+  renamed — under its :func:`~repro.harness.cache.point_key` as soon
+  as it finishes. The cache is the only resume state: re-running the
+  same sweep over the same directory after a budget stop, a drain or a
+  parent ``kill -9`` serves every completed point from it and executes
+  the rest. Poisoned points are never cached, so a re-run executes
+  them again, and a sweep without a cache has nothing to resume from.
 * **Graceful drain.** With ``drain_signals`` on, SIGINT/SIGTERM stop
-  new dispatch, let in-flight points finish (journaled and cached),
-  flush fleet status, and raise :class:`SweepInterrupted` — the CLI
-  maps that to exit code 3.
+  new dispatch, let in-flight points finish (and be cached), flush
+  fleet status, and raise :class:`SweepInterrupted` — the CLI maps that
+  to exit code 3.
 * **Seed hygiene.** Every executor (the serial path and each worker
   process) scrambles the ambient global RNGs (``random``,
   ``numpy.random``) before running points, with a *different* token per
@@ -88,9 +89,9 @@ _JOIN_GRACE_S = 5.0
 class SweepInterrupted(HarnessError):
     """A sweep stopped early — point budget exhausted or drain signal.
 
-    Completed points were already persisted to the cache and journal, so
-    re-invoking the same sweep with the same cache directory resumes
-    where it stopped (``repro sweep --resume``).
+    Completed points were already persisted to the cache, so re-invoking
+    the same sweep with the same cache directory resumes where it
+    stopped.
     """
 
     def __init__(
@@ -140,7 +141,7 @@ class PointOutcome:
     error: Optional[str] = None
     #: Failed attempts that preceded this resolution.
     retries: int = 0
-    #: Where the result came from: ``exec``, ``cache`` or ``journal``.
+    #: Where the result came from: ``exec`` or ``cache``.
     source: str = "exec"
 
 
@@ -183,12 +184,9 @@ class PoolConfig:
     #: Quarantine points that exhaust their retry budget as
     #: ``poisoned`` outcomes instead of failing the sweep.
     quarantine: bool = False
-    #: Append-only JSONL journal of resolved points (crash recovery).
-    journal: Optional[Path] = None
-    #: Replay matching journal entries before executing anything.
-    resume: bool = False
     #: Handle SIGINT/SIGTERM as a graceful drain: finish in-flight
-    #: points, flush journal + fleet status, raise SweepInterrupted.
+    #: points (caching each), flush fleet status, raise
+    #: SweepInterrupted.
     drain_signals: bool = False
 
 
@@ -900,10 +898,6 @@ def map_points(
     When the context carries a cache, hits are replayed (value + obs
     records) without executing, and completed points are persisted as
     they finish — which is what makes interrupted sweeps resumable.
-    When it carries a journal, resolved points are additionally fsync'd
-    to an append-only JSONL file that ``resume`` replays, covering the
-    cases the cache cannot (poisoned points, cacheless sweeps, a parent
-    killed between completions).
     """
     ctx = pool if pool is not None else active_pool()
     if ctx is None:
@@ -924,11 +918,7 @@ def map_points(
     from repro.obs import active_session
 
     parent_session = active_session()
-    collect_obs = (
-        parent_session is not None
-        or cache is not None
-        or ctx.config.journal is not None
-    )
+    collect_obs = parent_session is not None or cache is not None
 
     faults_plan = flow_cfg = obs_cfg = None
     if cache is not None:
@@ -967,41 +957,9 @@ def map_points(
 
     outcomes: List[Optional[PointOutcome]] = [None] * len(specs)
 
-    # Journal replay first: it also covers poisoned points and sweeps
-    # running without a cache.
-    journal = None
-    if ctx.config.journal is not None:
-        from repro.harness.journal import SweepJournal, journal_fingerprint
-
-        fingerprint = journal_fingerprint(resolved_tag, specs)
-        if ctx.config.resume:
-            for index, entry in SweepJournal.replay(
-                ctx.config.journal, fingerprint
-            ).items():
-                if index >= len(specs):
-                    continue
-                outcomes[index] = PointOutcome(
-                    spec=specs[index],
-                    value=entry.get("value"),
-                    records=list(entry.get("records") or ()),
-                    cache_hit=True,
-                    status=entry.get("status", "ok"),
-                    error=entry.get("error"),
-                    retries=int(entry.get("retries") or 0),
-                    source="journal",
-                )
-        journal = SweepJournal.open(
-            ctx.config.journal,
-            fingerprint,
-            len(specs),
-            resume=ctx.config.resume,
-        )
-
     # Resolve cache hits up front; only misses are dispatched.
     todo: List[int] = []
     for spec in specs:
-        if outcomes[spec.index] is not None:
-            continue
         entry = None
         if cache is not None and ctx.config.cache_read and spec.key:
             entry = cache.get(spec.key)
@@ -1040,8 +998,6 @@ def map_points(
                     "meta": {"wall_s": outcome.wall_s, "worker": outcome.worker},
                 },
             )
-        if journal is not None:
-            journal.record_point(outcome)
         outcomes[slot] = outcome
 
     # Execute and merge. Observability snapshots must land in the
@@ -1075,10 +1031,6 @@ def map_points(
                     fleet, drain_state, outcomes, parent_session,
                 )
     finally:
-        if journal is not None:
-            if all(o is not None for o in outcomes):
-                journal.complete()
-            journal.close()
         if fleet is not None:
             fleet.finish()
 

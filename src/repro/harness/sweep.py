@@ -153,8 +153,6 @@ def run_sweep(
     status_json: Optional[Path] = None,
     retries: int = 0,
     point_timeout_s: Optional[float] = None,
-    journal: Optional[Path] = None,
-    resume: bool = False,
     drain_signals: bool = False,
     sim_parallel: int = 1,
 ) -> SweepResult:
@@ -192,7 +190,9 @@ def run_sweep(
     cache_dir:
         Content-addressed result cache directory. Previously completed
         identical points are replayed for free, newly executed points
-        are persisted as they finish (interrupted sweeps resume).
+        are persisted as they finish, so re-running an interrupted
+        sweep over the same directory resumes it. Poisoned points are
+        never cached; a re-run executes them again.
     fresh:
         Ignore existing cache entries (still writes fresh ones).
     tag:
@@ -215,15 +215,9 @@ def run_sweep(
     point_timeout_s:
         Wall-clock budget per point in parallel runs; a worker stuck
         past it is killed and the attempt counts as a failure.
-    journal:
-        Append-only JSONL journal of resolved points (fsync'd per
-        record) for crash recovery; see :mod:`repro.harness.journal`.
-    resume:
-        Replay a matching journal before executing anything, so a
-        sweep killed mid-flight continues from its last durable point.
     drain_signals:
         Handle SIGINT/SIGTERM as a graceful drain: finish in-flight
-        points, flush the journal and fleet status, then raise
+        points (caching each), flush fleet status, then raise
         :class:`~repro.harness.pool.SweepInterrupted`.
     sim_parallel:
         Partition count for the conservative PDES core: every
@@ -274,8 +268,6 @@ def run_sweep(
         # Quarantine only when the caller opted into fault tolerance;
         # a plain sweep still fails fast on the first point error.
         quarantine=bool(retries or point_timeout_s is not None),
-        journal=journal,
-        resume=resume,
         drain_signals=drain_signals,
     )
 

@@ -1,8 +1,8 @@
-"""The result cache and sweep journal are keyed on the simulator source.
+"""The result cache is keyed on the simulator source.
 
 A cached point must never outlive an edit to the code that computed it:
-``point_key`` and ``journal_fingerprint`` fold in a fingerprint of the
-simulation packages, computed lazily once per process.
+``point_key`` folds in a fingerprint of the simulation packages,
+computed lazily once per process.
 """
 
 import json
@@ -14,8 +14,6 @@ from pathlib import Path
 
 from repro.harness import cache as cache_mod
 from repro.harness.cache import point_key, source_fingerprint
-from repro.harness.journal import journal_fingerprint
-from repro.harness.pool import PointSpec
 
 _SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -52,19 +50,11 @@ class TestSourceFingerprint:
         assert fp == source_fingerprint()
         assert len(fp) == 64 and int(fp, 16) >= 0
 
-    def test_folded_into_point_key_and_journal(self, monkeypatch):
-        spec = PointSpec(index=0, params={"x": 1}, seed=0, key=None)
-        before = (
-            point_key(tag="t", params={"x": 1}, seed=0),
-            journal_fingerprint("t", [spec]),
-        )
+    def test_folded_into_point_key(self, monkeypatch):
+        before = point_key(tag="t", params={"x": 1}, seed=0)
         monkeypatch.setattr(cache_mod, "source_fingerprint", lambda: "0" * 64)
-        after = (
-            point_key(tag="t", params={"x": 1}, seed=0),
-            journal_fingerprint("t", [spec]),
-        )
-        assert before[0] != after[0]
-        assert before[1] != after[1]
+        after = point_key(tag="t", params={"x": 1}, seed=0)
+        assert before != after
 
     def test_not_computed_at_import(self):
         code = (

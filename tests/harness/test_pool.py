@@ -221,6 +221,22 @@ class TestResultCache:
         cache.path_for(key).rename(cache.path_for(moved))
         assert cache.get(moved) is None
 
+    def test_put_fsyncs_each_entry_once(self, tmp_path, monkeypatch):
+        """Every put makes its bytes durable before the atomic rename:
+        one fsync per entry, of a file already holding the whole doc."""
+        synced = []
+
+        def fake_fsync(fd):
+            synced.append(os.fstat(fd).st_size)
+
+        monkeypatch.setattr(os, "fsync", fake_fsync)
+        cache = ResultCache(tmp_path)
+        for seed in range(3):
+            key = point_key(tag="t", params={}, seed=seed)
+            path = cache.put(key, {"value": float(seed)})
+            assert synced[-1] == path.stat().st_size
+        assert len(synced) == 3
+
     def test_len_and_clear(self, tmp_path):
         cache = ResultCache(tmp_path)
         for seed in range(3):
@@ -459,9 +475,35 @@ class TestSweepCli:
         rc = cli.main(cached + ["--max-points", "1"])
         assert rc == 3
         assert "sweep interrupted" in capsys.readouterr().err
-        rc = cli.main(cached + ["--resume"])
+        rc = cli.main(cached)
         assert rc == 0
         assert "1 cache hit(s), 1 executed" in capsys.readouterr().out
+
+    def test_rerun_without_flow_never_serves_flow_results(
+        self, tmp_path, capsys
+    ):
+        """A sweep interrupted under --flow, re-run over the same cache
+        without it, must produce what a cacheless run computes: the
+        flow-controlled point is keyed apart and never replayed."""
+        cached = self.ARGS + ["--cache-dir", str(tmp_path / "cache")]
+        flow = ["--flow", "ct_msgs=1,ct_bytes=4096,overload=100000,clear=20000"]
+        assert cli.main(cached + flow + ["--max-points", "1"]) == 3
+        rerun_p = tmp_path / "rerun.json"
+        fresh_p = tmp_path / "fresh.json"
+        assert cli.main(cached + ["--metrics-out", str(rerun_p)]) == 0
+        assert cli.main(
+            self.ARGS + ["--no-cache", "--metrics-out", str(fresh_p)]
+        ) == 0
+        rerun = json.loads(rerun_p.read_text())
+        fresh = json.loads(fresh_p.read_text())
+        assert canonical_metrics_bytes(rerun) == canonical_metrics_bytes(fresh)
+
+    @pytest.mark.parametrize("flag", [["--resume"], ["--journal", "x"]])
+    def test_removed_resume_flags_rejected(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(self.ARGS + ["--no-cache"] + flag)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_sweep_warm_cache_all_hits(self, tmp_path, capsys):
         cached = self.ARGS + ["--cache-dir", str(tmp_path)]
@@ -610,6 +652,23 @@ class TestSupervision:
             map_points(_boom, [{"x": 5}])
         assert len(ResultCache(tmp_path)) == 0
 
+    def test_poisoned_point_reexecuted_on_rerun(self, tmp_path, faildir):
+        """A re-run over the same cache executes a poisoned point
+        again (it is never replayed); once it succeeds it is cached."""
+        cache = tmp_path / "cache"
+        grid = [{"x": 3}]
+        cfg = self._config(parallel=1, retries=0, cache_dir=cache)
+        with pool_session(cfg):
+            first = map_points(_flaky, grid)
+        assert first[0].status == "poisoned"
+        assert len(ResultCache(cache)) == 0
+        with pool_session(cfg) as ctx:
+            second = map_points(_flaky, grid)
+            assert ctx.executed == 1 and ctx.poisoned == 0
+        assert second[0].status == "ok" and second[0].source == "exec"
+        assert second[0].value == 9.0
+        assert ResultCache(cache).get(second[0].spec.key)["value"] == 9.0
+
     def test_without_quarantine_failure_still_fatal(self):
         with pool_session(self._config(retries=1, quarantine=False)):
             with pytest.raises(HarnessError, match="exploded"):
@@ -672,7 +731,7 @@ class TestSupervision:
 
 
 # ----------------------------------------------------------------------
-# Interrupt semantics: graceful drain, crash-consistent journal, resume
+# Interrupt semantics: graceful drain, parent crash, resume from cache
 # ----------------------------------------------------------------------
 _SRC = str(Path(__file__).resolve().parents[2] / "src")
 
@@ -690,14 +749,6 @@ def _sweep_argv(cache, *extra):
         "--cache-dir", str(cache),
         *extra,
     ]
-
-
-def _journal_points(journal):
-    """Parsed point records of a journal (asserts every line is JSON)."""
-    if not journal.exists():
-        return []
-    docs = [json.loads(line) for line in journal.read_text().splitlines()]
-    return [d for d in docs if d.get("kind") == "point"]
 
 
 def _live_group_members(pgid):
@@ -719,12 +770,11 @@ def _live_group_members(pgid):
 
 def _interrupt_mid_sweep(tmp_path, signum):
     """Start the sweep CLI in its own session, signal it once >=2 points
-    are journaled, and return (returncode, cache_dir, journal_path,
-    pgid) — the pgid names the sweep's process group, workers included."""
+    are cached, and return (returncode, cache_dir, pgid) — the pgid
+    names the sweep's process group, workers included."""
     import subprocess
 
     cache = tmp_path / "cache"
-    journal = cache / "sweep-journal.jsonl"
     env = dict(os.environ, PYTHONPATH=_SRC)
     proc = subprocess.Popen(
         _sweep_argv(cache),
@@ -741,21 +791,18 @@ def _interrupt_mid_sweep(tmp_path, signum):
                     f"sweep finished (rc {proc.returncode}) before the "
                     f"signal — grid too fast for this host"
                 )
-            try:
-                if len(_journal_points(journal)) >= 2:
-                    break
-            except ValueError:
-                pass  # mid-append read; journal settles next poll
+            if len(ResultCache(cache)) >= 2:
+                break
             time.sleep(0.05)
         else:
-            pytest.fail("journal never accumulated 2 points")
+            pytest.fail("cache never accumulated 2 points")
         proc.send_signal(signum)
         rc = proc.wait(timeout=60)
     finally:
         if proc.poll() is None:
             proc.kill()
             proc.wait()
-    return rc, cache, journal, proc.pid
+    return rc, cache, proc.pid
 
 
 @pytest.mark.slow
@@ -769,45 +816,38 @@ class TestInterruptSemantics:
         return json.loads(ref_p.read_text())
 
     def test_sigint_drains_to_exit_3_then_resume_matches(self, tmp_path):
-        rc, cache, journal, _ = _interrupt_mid_sweep(tmp_path, signal.SIGINT)
+        rc, cache, _ = _interrupt_mid_sweep(tmp_path, signal.SIGINT)
         assert rc == 3  # graceful drain, not the default 130
-        points = _journal_points(journal)  # also: every line valid JSON
-        assert 2 <= len(points) < 8
-        assert all(p["status"] == "ok" for p in points)
+        cached = len(ResultCache(cache))  # in-flight points finished too
+        assert 2 <= cached < 8
 
         res_p = tmp_path / "resumed.json"
-        rc = cli.main(
-            _sweep_argv(cache, "--resume", "--metrics-out", str(res_p))[3:]
-        )
+        rc = cli.main(_sweep_argv(cache, "--metrics-out", str(res_p))[3:])
         assert rc == 0
         resumed = json.loads(res_p.read_text())
         summary = resumed["provenance"]["summary"]
-        # Only the points the drained run never resolved were executed.
-        assert summary["cache_hits"] >= len(points)
-        assert summary["executed"] <= 8 - len(points)
+        # Only the points the drained run never completed were executed.
+        assert summary["cache_hits"] == cached
+        assert summary["executed"] == 8 - cached
         ref = self._reference_artifact(tmp_path)
         assert canonical_metrics_bytes(resumed) == canonical_metrics_bytes(ref)
 
-    def test_parent_sigkill_resumes_from_journal(self, tmp_path):
-        rc, cache, journal, _ = _interrupt_mid_sweep(tmp_path, signal.SIGKILL)
+    def test_parent_sigkill_resumes_from_cache(self, tmp_path):
+        rc, cache, _ = _interrupt_mid_sweep(tmp_path, signal.SIGKILL)
         assert rc == -signal.SIGKILL
-        points = _journal_points(journal)  # fsync'd prefix survived
-        assert len(points) >= 2
-        journaled = {p["index"] for p in points}
+        cached = set(ResultCache(cache).keys())  # only the parent writes
+        assert len(cached) >= 2
 
         res_p = tmp_path / "resumed.json"
-        rc = cli.main(
-            _sweep_argv(cache, "--resume", "--metrics-out", str(res_p))[3:]
-        )
+        rc = cli.main(_sweep_argv(cache, "--metrics-out", str(res_p))[3:])
         assert rc == 0
         resumed = json.loads(res_p.read_text())
-        # Journaled points replayed (source "journal"), the rest
-        # executed — never re-running what the dead parent completed.
-        by_index = {
-            p["index"]: p for p in resumed["provenance"]["points"]
-        }
-        for index in journaled:
-            assert by_index[index]["cache_hit"]
+        # Points cached before the kill are served from the cache, the
+        # rest executed — never re-running what the dead parent completed.
+        by_key = {p["key"]: p for p in resumed["provenance"]["points"]}
+        for key in cached:
+            assert by_key[key]["source"] == "cache"
+            assert by_key[key]["cache_hit"]
         summary = resumed["provenance"]["summary"]
         assert summary["executed"] == 8 - summary["cache_hits"]
         ref = self._reference_artifact(tmp_path)
@@ -820,7 +860,7 @@ class TestInterruptSemantics:
         """Pool workers notice a SIGKILLed parent and exit on their own:
         they must not hold their own task pipe open (no EOF otherwise)
         nor keep the parent's SIGTERM drain handler."""
-        rc, _, _, pgid = _interrupt_mid_sweep(tmp_path, signal.SIGKILL)
+        rc, _, pgid = _interrupt_mid_sweep(tmp_path, signal.SIGKILL)
         assert rc == -signal.SIGKILL
         try:
             # A worker mid-point finishes it first (well under a second
