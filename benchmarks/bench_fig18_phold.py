@@ -1,10 +1,10 @@
 """Fig 18 — PHOLD synthetic: rejected (out-of-order) events.
 
 Besides the paper's qualitative claim, the per-scheme rejected counts
-are cross-checked against the committed ``BENCH_pdes.json`` baseline
-(the counts are deterministic simulation results, so they must match
-exactly on every host); ``bench_pdes_scaling.py --check`` gates the
-same numbers in the bench-regression CI job.
+are cross-checked against the committed ``BENCH_fig18.json`` baseline.
+The counts are deterministic simulation results, so they must match
+exactly on every host. Run it with
+``python -m pytest benchmarks/bench_fig18_phold.py -q``.
 """
 
 import json
@@ -14,7 +14,7 @@ from conftest import run_once
 
 from repro.harness.figures import fig18
 
-BASELINE = Path(__file__).parent / "BENCH_pdes.json"
+BASELINE = Path(__file__).parent / "BENCH_fig18.json"
 
 
 def test_fig18_phold_rejected(benchmark):
@@ -29,5 +29,5 @@ def test_fig18_phold_rejected(benchmark):
         want = baseline[f"fig18_rejected_{scheme}"]["value"]
         assert count == want, (
             f"fig18 rejected[{scheme}] = {count} deviates from the "
-            f"committed BENCH_pdes.json baseline {want}"
+            f"committed BENCH_fig18.json baseline {want}"
         )

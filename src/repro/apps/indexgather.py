@@ -73,9 +73,9 @@ def run_indexgather(
     """
     rt = RuntimeSystem(machine, costs, seed=seed)
     W = machine.total_workers
-    qd_req = rt.pdes_share(QDCounter())
-    qd_resp = rt.pdes_share(QDCounter())
-    responses_received = rt.pdes_share(np.zeros(W, dtype=np.int64))
+    qd_req = QDCounter()
+    qd_resp = QDCounter()
+    responses_received = np.zeros(W, dtype=np.int64)
 
     # Responses: created by the request handler below; delivered back to
     # the requesting PE. Responders flush on idle (they cannot know when

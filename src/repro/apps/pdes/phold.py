@@ -79,18 +79,15 @@ def run_phold(
     W = machine.total_workers
     total_lps = W * lps_per_worker
 
-    engines = rt.pdes_share(
-        [
-            OptimisticEngine(
-                lps=[LpState(lp_id=w + W * i) for i in range(lps_per_worker)]
-            )
-            for w in range(W)
-        ],
-        merge="worker",
-    )
+    engines = [
+        OptimisticEngine(
+            lps=[LpState(lp_id=w + W * i) for i in range(lps_per_worker)]
+        )
+        for w in range(W)
+    ]
     # events spawned by each worker (quota control)
-    spawned = rt.pdes_share([0] * W, merge="worker")
-    loop_live = rt.pdes_share([False] * W, merge="worker")
+    spawned = [0] * W
+    loop_live = [False] * W
 
     def deliver(ctx, item) -> None:
         lp_global, virtual_ts = item.payload

@@ -713,7 +713,7 @@ def run_figure(
     fig_id: str, profile: str = "paper", metrics_path=None, faults=None,
     flow=None, timeline=None, parallel: int = 1, cache_dir=None,
     fresh: bool = False, status: bool = False, status_json=None,
-    retries: int = 0, point_timeout_s=None, sim_parallel: int = 1,
+    retries: int = 0, point_timeout_s=None,
 ) -> FigureData:
     """Run one registered experiment by id.
 
@@ -751,13 +751,6 @@ def run_figure(
     sweep survives worker crashes. Figures fail fast on an exhausted
     point (no quarantine) — a figure with holes in it is not a figure.
 
-    With ``sim_parallel`` > 1 every simulation inside the figure runs
-    under a :class:`~repro.sim.parallel.PdesSession`: the conservative
-    PDES core shards each :class:`~repro.runtime.system.RuntimeSystem`
-    by simulated node across that many forked partitions. Results (and
-    the artifact, modulo the pdes provenance/metrics blocks stripped by
-    :func:`~repro.harness.artifact.canonical_metrics_bytes`) are
-    identical to a sequential run; only wall-clock changes.
     """
     try:
         fn, _ = FIGURES[fig_id]
@@ -782,7 +775,7 @@ def run_figure(
     pooled = parallel != 1 or cache_dir is not None
     if (
         metrics_path is None and plan is None and fcfg is None
-        and timeline is None and not pooled and sim_parallel == 1
+        and timeline is None and not pooled
     ):
         return fn(profile)
 
@@ -798,7 +791,6 @@ def run_figure(
     _ig_sweep.cache_clear()
     _sssp_sweep.cache_clear()
     session = None
-    pdes_ctx = None
     try:
         with ExitStack() as stack:
             if plan is not None:
@@ -809,12 +801,6 @@ def run_figure(
                 from repro.flow import FlowSession
 
                 stack.enter_context(FlowSession(fcfg))
-            if sim_parallel != 1:
-                from repro.sim.parallel import PdesConfig, PdesSession
-
-                pdes_ctx = stack.enter_context(
-                    PdesSession(PdesConfig(partitions=sim_parallel))
-                )
             if metrics_path is not None or timeline is not None:
                 from repro.obs import ObsConfig, ObsSession
 
@@ -840,7 +826,7 @@ def run_figure(
     finally:
         if (
             plan is not None or fcfg is not None or timeline is not None
-            or pooled or sim_parallel != 1
+            or pooled
         ):
             _ig_sweep.cache_clear()
             _sssp_sweep.cache_clear()
@@ -857,9 +843,6 @@ def run_figure(
         if timeline is not None:
             extra["timeline"] = asdict(timeline)
         provenance = pool_ctx.provenance_payload()
-        if pdes_ctx is not None:
-            provenance = dict(provenance or {})
-            provenance["pdes"] = pdes_ctx.provenance_payload()
         payload = build_metrics_payload(
             target=fig_id,
             profile=profile,

@@ -154,7 +154,6 @@ def run_sweep(
     retries: int = 0,
     point_timeout_s: Optional[float] = None,
     drain_signals: bool = False,
-    sim_parallel: int = 1,
 ) -> SweepResult:
     """Evaluate ``fn(seed=..., **params)`` over the cartesian grid.
 
@@ -219,12 +218,6 @@ def run_sweep(
         Handle SIGINT/SIGTERM as a graceful drain: finish in-flight
         points (caching each), flush fleet status, then raise
         :class:`~repro.harness.pool.SweepInterrupted`.
-    sim_parallel:
-        Partition count for the conservative PDES core: every
-        simulated run inside the sweep executes under a
-        :class:`~repro.sim.parallel.PdesSession` sharded by simulated
-        node across this many forked partitions. Results are identical
-        to sequential execution; only wall-clock changes.
 
     Examples
     --------
@@ -272,20 +265,11 @@ def run_sweep(
     )
 
     session = None
-    pdes_ctx = None
     with ExitStack() as stack:
         if fcfg is not None:
             from repro.flow import FlowSession
 
             stack.enter_context(FlowSession(fcfg))
-        if sim_parallel != 1:
-            from repro.sim.parallel import PdesConfig, PdesSession
-
-            # Entered before pool_session so forked pool workers
-            # inherit the ambient session.
-            pdes_ctx = stack.enter_context(
-                PdesSession(PdesConfig(partitions=sim_parallel))
-            )
         if metrics_path is not None or timeline is not None:
             from repro.obs import ObsConfig, ObsSession
 
@@ -297,9 +281,6 @@ def run_sweep(
 
     result = SweepResult(axes=dict(axes), metric=metric)
     result.pool = ctx.provenance_payload()
-    if pdes_ctx is not None:
-        result.pool = dict(result.pool or {})
-        result.pool["pdes"] = pdes_ctx.provenance_payload()
     n_seeds = len(seeds)
     for ci, params in enumerate(combos):
         chunk = outcomes[ci * n_seeds : (ci + 1) * n_seeds]

@@ -47,9 +47,6 @@ _TRACKS: List[Tuple[str, str, object]] = [
      lambda n: n == "reliability.pending_messages"),
     ("overload state", "0/1", lambda n: n == "flow.overloaded"),
     ("oldest park age", "ns", lambda n: n == "flow.oldest_park_age_ns"),
-    ("PDES coordinator stalls", "ns",
-     lambda n: n == "pdes.horizon_stalls_ns"),
-    ("PDES null messages", "messages", lambda n: n == "pdes.null_messages"),
 ]
 
 

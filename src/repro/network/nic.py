@@ -60,13 +60,6 @@ class Nic:
     #: Installed by the runtime when a fault plan is active; ``None``
     #: keeps both directions fault-free with one check per message.
     faults: Optional[object] = None
-    #: Installed inside a PDES partition (:mod:`repro.sim.parallel`):
-    #: ``pdes_export(arrival, seq, msg, dst_node)`` ships a cross-
-    #: partition arrival to the coordinator instead of scheduling it
-    #: locally. ``pdes_owned`` is the set of node ids this partition
-    #: simulates; ``None`` means everything is local (sequential run).
-    pdes_export: Optional[Callable] = None
-    pdes_owned: Optional[frozenset] = None
 
     def inject(self, msg: NetMessage, dst_nic: "Nic", wire_latency_ns: float) -> None:
         """Serialize ``msg`` onto the wire towards ``dst_nic``.
@@ -103,17 +96,10 @@ class Nic:
                 span.nic_tx_queue_ns += start - now
                 span.wire_ns += occupancy + wire_latency_ns
             # Cross-node arrivals ride a per-(src, dst) wire-channel seq
-            # slot: allocation order depends only on the sender, so a
-            # partitioned sender advances the same counter the
-            # sequential engine would — the key to bit-identical merges.
-            dst_node = dst_nic.node_id
-            export = self.pdes_export
-            if export is not None and dst_node not in self.pdes_owned:
-                seq = self.engine.wire_seq(self.node_id, dst_node)
-                export(arrival, seq, msg, dst_node)
-                return
+            # slot, whose allocation order depends only on the sender;
+            # the slot fixes the arrival's place in the tie-break order.
             self.engine.wire_call_at(
-                arrival, dst_nic.receive, (msg,), self.node_id, dst_node
+                arrival, dst_nic.receive, (msg,), self.node_id, dst_nic.node_id
             )
             return
         for copy, extra_ns in faults.wire_outcomes(msg, dst_nic.node_id, now):

@@ -356,39 +356,6 @@ def registry_from_runtime(rt: Any) -> MetricsRegistry:
                   lambda f=flow: f.overloaded,
                   help="whether the overload detector is escalated")
 
-    if getattr(rt, "pdes", None) is not None:
-        # Conservative-PDES execution telemetry. Gated on the session
-        # config (present from construction) and read through
-        # ``rt.pdes_info`` lazily, so a registry built before rt.run()
-        # reads the completed run's values. All pdes.* names are
-        # stripped from the canonical artifact form — they describe the
-        # execution strategy, never the simulated result.
-        def _pinfo(field: str, default: Any = 0) -> Any:
-            info = getattr(rt, "pdes_info", None)
-            return getattr(info, field) if info is not None else default
-
-        reg.gauge("pdes.partitions", lambda: _pinfo("partitions", 1),
-                  unit="partitions",
-                  help="forked event-loop partitions of the last run")
-        reg.gauge("pdes.lookahead_ns", lambda: _pinfo("lookahead_ns", 0.0),
-                  unit="ns",
-                  help="conservative lookahead (min inter-node latency)")
-        reg.counter("pdes.rounds", lambda: _pinfo("rounds"), unit="rounds",
-                    help="coordinator barrier rounds")
-        reg.counter("pdes.null_messages", lambda: _pinfo("null_messages"),
-                    unit="messages",
-                    help="empty horizon grants (pure lookahead promises)")
-        reg.counter("pdes.wire_messages", lambda: _pinfo("wire_messages"),
-                    unit="messages",
-                    help="cross-partition simulated messages exchanged")
-        reg.gauge("pdes.horizon_stalls_ns", lambda: _pinfo("horizon_stalls_ns", 0.0),
-                  unit="ns",
-                  help="wall-clock partitions spent waiting on grants")
-        reg.gauge("pdes.partition_imbalance",
-                  lambda: _pinfo("partition_imbalance", 0.0),
-                  unit="fraction",
-                  help="(peak - min) / peak of per-partition event counts")
-
     for i, scheme in enumerate(getattr(rt, "schemes", ())):
         prefix = f"tram.{i}.{scheme.name}"
         stats = scheme.stats

@@ -108,16 +108,6 @@ def _timeline_dict(rt: Any) -> Optional[dict]:
     return timeline.to_dict()
 
 
-def _pdes_dict(rt: Any) -> Optional[dict]:
-    """The conservative-PDES run record, when the run executed (or fell
-    back) under a :class:`~repro.sim.parallel.PdesSession`. Stripped
-    from the canonical artifact form — execution strategy, not result."""
-    info = getattr(rt, "pdes_info", None)
-    if info is None:
-        return None
-    return info.to_dict()
-
-
 def run_snapshot(rt: Any) -> dict:
     """Summarize a finished :class:`~repro.runtime.system.RuntimeSystem`."""
     transport = rt.transport.stats
@@ -144,6 +134,5 @@ def run_snapshot(rt: Any) -> dict:
         "reliability": _reliability_dict(rt),
         "flow": _flow_dict(rt),
         "timeline": _timeline_dict(rt),
-        "pdes": _pdes_dict(rt),
         "metrics": registry_from_runtime(rt).to_json(),
     }

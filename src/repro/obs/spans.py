@@ -168,8 +168,8 @@ class NodeShardedStageLatency:
     :class:`repro.tram.stats.NodeShardedLatency`, and for the same
     reason: histogram ``total`` floats are order-sensitive accumulators,
     so records are kept node-local (selected by ``engine.current_owner``)
-    and folded in fixed node order when read — making sequential and
-    partitioned runs byte-identical.
+    and folded in fixed node order when read; that fold order fixes the
+    low bits of every multi-node stage total.
     """
 
     __slots__ = ("shards", "_engine")

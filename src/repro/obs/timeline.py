@@ -255,31 +255,6 @@ class TimelineRecorder:
                          lambda t: rstats.peers_confirmed_dead)
                     )
 
-        if rt.pdes is not None:
-            # PDES session telemetry. A timeline-carrying run always
-            # falls back to sequential execution (the recorder samples
-            # cannot merge across partitions), so these series document
-            # the fallback: static per run, shadowing the pdes.*
-            # registry entries for the validator's final-sample check.
-            def _pdes(field, default=0.0):
-                info = rt.pdes_info
-                return (
-                    float(getattr(info, field)) if info is not None
-                    else default
-                )
-
-            probes.append(
-                ("pdes.null_messages", lambda t: _pdes("null_messages"))
-            )
-            probes.append(
-                ("pdes.horizon_stalls_ns",
-                 lambda t: _pdes("horizon_stalls_ns"))
-            )
-            probes.append(
-                ("pdes.partition_imbalance",
-                 lambda t: _pdes("partition_imbalance"))
-            )
-
         for i, scheme in enumerate(rt.schemes):
             prefix = f"tram.{i}.{scheme.name}"
             tstats = scheme.stats

@@ -32,11 +32,6 @@ class QDCounter:
     produced: int = 0
     consumed: int = 0
     lost: int = 0
-    #: Whether over-consumption raises immediately. A PDES child
-    #: partition (:mod:`repro.sim.parallel`) clears this: it only sees
-    #: its own nodes' produces, so locally consumed > produced is
-    #: normal there — the merged parent counter re-checks globally.
-    strict: bool = True
 
     def produce(self, n: int = 1) -> None:
         """Record ``n`` items entering the system."""
@@ -49,7 +44,7 @@ class QDCounter:
         if n < 0:
             raise QuiescenceError(f"cannot consume {n} items")
         self.consumed += n
-        if self.strict and self.consumed + self.lost > self.produced:
+        if self.consumed + self.lost > self.produced:
             raise QuiescenceError(
                 f"consumed {self.consumed} + lost {self.lost} > produced "
                 f"{self.produced}: duplicate delivery detected"
@@ -60,7 +55,7 @@ class QDCounter:
         if n < 0:
             raise QuiescenceError(f"cannot lose {n} items")
         self.lost += n
-        if self.strict and self.consumed + self.lost > self.produced:
+        if self.consumed + self.lost > self.produced:
             raise QuiescenceError(
                 f"consumed {self.consumed} + lost {self.lost} > produced "
                 f"{self.produced}: loss double-counted with a delivery"

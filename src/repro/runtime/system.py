@@ -39,7 +39,6 @@ from repro.runtime.reliability import ReliabilityConfig, ReliableDelivery
 from repro.runtime.transport import Transport
 from repro.runtime.worker import Worker
 from repro.sim.engine import Engine, RunStats
-from repro.sim.parallel import PdesConfig, active_pdes_session
 from repro.sim.rng import RngStreams
 from repro.sim.trace import Tracer
 
@@ -105,29 +104,11 @@ class RuntimeSystem:
         self.costs = costs if costs is not None else CostModel()
         self.engine = Engine(tracer=tracer)
         if machine.nodes > 1:
-            # Partition-stable seq allocation (one owner per simulated
-            # node). Single-node machines keep the plain global counter,
-            # bit-identical to the pre-PDES engine.
+            # Owner-slot seq allocation (one owner per simulated node).
+            # The encoding fixes the engine's tie-break order, and with it
+            # every reference output of a multi-node run; single-node
+            # machines keep the plain global counter.
             self.engine.configure_owners(machine.nodes)
-
-        pdes_session = active_pdes_session()
-        #: Partitioned-run request (:class:`repro.sim.parallel.PdesConfig`)
-        #: picked up from the ambient session, or ``None``.
-        self.pdes: Optional[PdesConfig] = (
-            pdes_session.config if pdes_session is not None else None
-        )
-        #: Filled by :meth:`run` when a PDES config is active: a
-        #: :class:`repro.sim.parallel.PdesRunInfo` describing either the
-        #: partitioned execution or the sequential fallback reason.
-        self.pdes_info: Optional[Any] = None
-        #: Driver-side state registered via :meth:`pdes_share`.
-        self._pdes_states: List[tuple] = []
-        self._pdes_ready = False
-        #: Node ids simulated locally when this runtime is a PDES child
-        #: partition; ``None`` everywhere else.
-        self._pdes_local_nodes: Optional[frozenset] = None
-        if self.pdes is not None and self.pdes.record_fires:
-            self.engine.fire_log = []
 
         self.rng = RngStreams(seed)
         self.fabric = Fabric(machine, self.costs)
@@ -361,23 +342,14 @@ class RuntimeSystem:
         """Schedule task ``fn(ctx, *args)`` on a worker, now or later.
 
         On multi-node machines the bootstrap event is allocated under
-        the target worker's node owner, so a partitioned run draws the
-        identical seq the sequential engine would.
+        the target worker's node owner, which fixes its place in the
+        engine's tie-break order.
         """
         worker = self._workers[worker_id]
         eng = self.engine
         if eng._owner_mod:
-            node = self.machine.node_of_worker(worker_id)
-            owned = self._pdes_local_nodes
-            if owned is not None and node not in owned:
-                raise DeliveryError(
-                    f"rt.post to node {node} from a partition that owns "
-                    f"{sorted(owned)}: mid-run cross-node posts have no "
-                    "wire lookahead and cannot run partitioned — route "
-                    "cross-worker traffic through the transport instead"
-                )
             prev = eng.current_owner
-            eng.current_owner = node
+            eng.current_owner = self.machine.node_of_worker(worker_id)
             try:
                 eng.after(delay, self._post_now, worker, fn, args, expedited)
             finally:
@@ -389,55 +361,11 @@ class RuntimeSystem:
     def _post_now(worker: Worker, fn: Callable, args: tuple, expedited: bool) -> None:
         worker.post_task(fn, *args, expedited=expedited)
 
-    # ------------------------------------------------------------------
-    # PDES partitioning hooks
-    # ------------------------------------------------------------------
-    def pdes_share(self, obj: Any, *, merge: str = "sum") -> Any:
-        """Register driver-side state a partitioned run must merge.
-
-        ``merge`` picks the rule applied when child partitions return:
-
-        * ``"sum"`` — numeric deltas are folded in fixed partition
-          order: plain int/float attributes of an object (e.g. a
-          :class:`~repro.runtime.quiescence.QDCounter`), or a numpy
-          array summed elementwise.
-        * ``"worker"`` — a list or 1-D array indexed by global worker
-          id; each element is taken from the partition owning that
-          worker's node.
-
-        Registering anything also marks the app *pdes-ready*: a runtime
-        whose driver never registered (or called :meth:`pdes_ready`)
-        falls back to sequential execution, because the coordinator
-        would have no way to reassemble the driver's state. Returns
-        ``obj`` so registration can wrap construction.
-        """
-        if merge not in ("sum", "worker"):
-            raise ConfigError(f"unknown pdes merge rule {merge!r}")
-        self._pdes_states.append((obj, merge))
-        self._pdes_ready = True
-        return obj
-
-    def pdes_ready(self) -> None:
-        """Mark the app safe to partition with no driver state to merge."""
-        self._pdes_ready = True
-
     def run(
         self, *, until: Optional[float] = None, max_events: Optional[int] = None
     ) -> RunStats:
-        """Run the engine (to quiescence by default).
-
-        With an active :class:`~repro.sim.parallel.PdesSession` and an
-        eligible configuration, the run is sharded by simulated node
-        across worker processes (:func:`repro.sim.parallel.run_partitioned`)
-        and the merged result — including every artifact-visible counter
-        — is canonical-byte-identical to the sequential path.
-        """
-        if self.pdes is not None and self._pdes_local_nodes is None:
-            from repro.sim.parallel import run_partitioned
-
-            stats = run_partitioned(self, until=until, max_events=max_events)
-        else:
-            stats = self.engine.run(until=until, max_events=max_events)
+        """Run the engine (to quiescence by default)."""
+        stats = self.engine.run(until=until, max_events=max_events)
         if self._obs_session is not None:
             self._obs_session.update(self, stats)
         return stats

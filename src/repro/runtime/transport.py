@@ -49,18 +49,6 @@ class TransportStats:
     def total_bytes(self) -> int:
         return sum(self.bytes.values())
 
-    def export(self) -> dict:
-        """Plain-dict counter snapshot (picklable across partitions)."""
-        return {
-            "messages": {r.value: n for r, n in self.messages.items()},
-            "bytes": {r.value: n for r, n in self.bytes.items()},
-        }
-
-    def absorb_delta(self, after: dict, before: dict) -> None:
-        """Fold a child partition's counter delta into this instance."""
-        for r in Route:
-            self.messages[r] += after["messages"][r.value] - before["messages"][r.value]
-            self.bytes[r] += after["bytes"][r.value] - before["bytes"][r.value]
 
 
 class Transport:

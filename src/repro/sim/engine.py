@@ -30,8 +30,8 @@ stream is the exact ``(time, seq)`` total order regardless of which
 structure an event waited in. ``tests/properties/test_prop_sim.py``
 pins this with a randomized heap-only-vs-wheel equivalence test.
 
-Partition-stable sequence numbers
----------------------------------
+Owner-slot sequence numbers
+---------------------------
 By default ``seq`` is a single global counter. A multi-owner engine
 (:meth:`Engine.configure_owners`, used by multi-node runtimes) instead
 allocates from per-owner counters and encodes the allocating slot into
@@ -40,12 +40,13 @@ the sequence number::
     seq = per_slot_counter * n_slots + slot
 
 with one slot per owner (simulated node) plus one slot per *directed
-owner pair* for cross-node wire events. Because each slot's counter
-advances only from causally-local activity, a partitioned run
-(:mod:`repro.sim.parallel`) allocates the exact same ``(time, seq)``
-keys as the sequential run — which is what makes the conservative PDES
-merge bit-for-bit identical. With a single owner the encoding collapses
-to ``seq = counter`` — today's behavior, unchanged bit for bit.
+owner pair* for cross-node wire events. The encoding decides how
+same-time events tie, so it is part of the simulated result: skipping
+it changes the mean-latency bits of every multi-node reference point
+(and, under faults and flow control, bytes sent, drops and parks).
+``tests/sim/test_engine_owners.py`` pins both the encoding and two
+reference outputs. With a single owner the encoding collapses to
+``seq = counter``.
 
 Events are plain lists (see :mod:`repro.sim.event`): slot 2 is the
 state, and the list itself is the cancellation handle.
@@ -56,7 +57,7 @@ from __future__ import annotations
 import gc
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, Optional
 
 from repro.errors import SchedulingError, SimulationError
 from repro.sim.event import ST_CONSUMED, ST_PENDING, ST_POOLED, ST_WHEEL
@@ -93,14 +94,6 @@ class RunStats:
     #: ``end_time``, never advanced to an un-fired horizon).
     last_event_time: float = 0.0
 
-    def merge(self, other: "RunStats") -> None:
-        """Fold a subsequent run's stats into this one."""
-        self.events_fired += other.events_fired
-        self.end_time = max(self.end_time, other.end_time)
-        self.stopped_early = self.stopped_early or other.stopped_early
-        self.horizon_reached = self.horizon_reached or other.horizon_reached
-        self.last_event_time = max(self.last_event_time, other.last_event_time)
-
 
 class Engine:
     """Deterministic discrete-event engine.
@@ -116,7 +109,6 @@ class Engine:
         "tracer",
         "now",
         "sampler",
-        "fire_log",
         "current_owner",
         "_queue",
         "_wheel",
@@ -140,10 +132,6 @@ class Engine:
         #: keeps run-to-exhaustion quiescence intact and adds only one
         #: float compare per event.
         self.sampler: Optional[Any] = None
-        #: Optional list collecting ``(time, seq)`` of every fired event
-        #: (forces the general run loop; used by the PDES equivalence
-        #: property tests).
-        self.fire_log: Optional[List[Tuple[float, int]]] = None
         #: Owner slot of the event currently firing (multi-owner engines
         #: only; stays 0 otherwise). Events scheduled from inside a
         #: callback are allocated under this owner.
@@ -168,7 +156,7 @@ class Engine:
     # Owner configuration (multi-node runtimes)
     # ------------------------------------------------------------------
     def configure_owners(self, n_owners: int) -> None:
-        """Switch to partition-stable seq allocation over ``n_owners``.
+        """Switch to owner-slot seq allocation over ``n_owners``.
 
         Must be called before anything is scheduled. Slots ``0..n-1``
         are per-owner counters; slot ``n + src*n + dst`` orders the
@@ -186,16 +174,6 @@ class Engine:
         self._owner_mod = 0 if n_owners == 1 else self._n_slots
         self._owner_seq = [0] * self._n_slots
         self.current_owner = 0
-
-    def owner_of_seq(self, seq: int) -> int:
-        """Owner that executes the event carrying ``seq`` (wire events
-        belong to their destination owner)."""
-        mod = self._owner_mod
-        if not mod:
-            return 0
-        n = self._n_owners
-        slot = seq % mod
-        return slot if slot < n else (slot - n) % n
 
     # ------------------------------------------------------------------
     # Scheduling — precise-ordering heap
@@ -293,8 +271,8 @@ class Engine:
 
         Wire events are *executed* by their destination owner but their
         allocation order depends only on the sender, so the counter
-        lives in a dedicated per-pair slot that both the sequential
-        engine and the sender's partition advance identically.
+        lives in a dedicated per-pair slot advanced only by sends on
+        that channel.
         """
         n = self._n_owners
         slot = n + src_owner * n + dst_owner
@@ -331,14 +309,6 @@ class Engine:
         else:
             ev = [time, seq, ST_POOLED, fn, args]
         _heappush(self._heap, ev)
-
-    def inject_foreign(
-        self, time: float, seq: int, fn: Callable[..., Any], args: tuple = ()
-    ) -> None:
-        """Insert an event whose ``(time, seq)`` key was allocated by a
-        peer partition (a cross-partition wire arrival). The key is used
-        verbatim so the merged order matches the sequential engine."""
-        _heappush(self._heap, [time, seq, ST_POOLED, fn, args])
 
     # ------------------------------------------------------------------
     # Scheduling — timer wheel (timeout-class events)
@@ -428,14 +398,12 @@ class Engine:
             the clock stays at the last fired event's time (an empty
             engine does not move at all). An event scheduled exactly at
             the horizon is deferred — it belongs to the next ``run()``
-            call. (This strict semantics makes ``until`` a
-            composable window boundary: successive calls with
-            ``until=h1, h2, ...`` fire each event exactly once, in the
-            window ``[h_{k-1}, h_k)`` that contains it — the property
-            the partitioned engine of :mod:`repro.sim.parallel` builds
-            on.) Deferred events are *not* popped — they stay queued, so
-            their handles remain valid and a later :meth:`run` call
-            fires them.
+            call, so successive calls with ``until=h1, h2, ...`` fire
+            each event exactly once, in the window ``[h_{k-1}, h_k)``
+            that contains it. Deferred events are *not* popped — they
+            stay queued, so their handles remain valid and a later
+            :meth:`run` call fires them. A horizon routes the run
+            through the general loop.
         max_events:
             Safety valve for tests: abort with :class:`SimulationError`
             after this many events (catches accidental infinite loops).
@@ -465,20 +433,11 @@ class Engine:
         if 0 < thresholds[0] < GC_GEN0_THRESHOLD:
             gc.set_threshold(GC_GEN0_THRESHOLD, *thresholds[1:])
         try:
-            if (
-                max_events is None
-                and self.tracer is None
-                and self.fire_log is None
-            ):
-                if until is None:
-                    if self.sampler is None:
-                        self._run_fast(stats)
-                    else:
-                        self._run_sampled(stats)
-                elif self.sampler is None:
-                    self._run_until(stats, until)
+            if until is None and max_events is None and self.tracer is None:
+                if self.sampler is None:
+                    self._run_fast(stats)
                 else:
-                    self._run_general(stats, until, None)
+                    self._run_sampled(stats)
             else:
                 self._run_general(stats, until, max_events)
         finally:
@@ -614,65 +573,10 @@ class Engine:
         stats.events_fired = fired
         stats.last_event_time = self.now
 
-    def _run_until(self, stats: RunStats, until: float) -> None:
-        """Horizon-bounded run without tracing/sampling: the partition
-        window primitive. Fires events with ``t < until`` (strictly),
-        then advances the clock to ``until``. Peeks before popping so a
-        deferred event is never removed — handles stay valid across
-        successive horizons."""
-        queue = self._queue
-        heap = self._heap
-        wheel = self._wheel
-        pool = self._pool
-        mod = self._owner_mod
-        nown = self._n_owners
-        fired = 0
-        while not self._stop_requested:
-            from_wheel = False
-            if wheel._live:
-                wev = wheel.peek()
-                hev = queue.peek()
-                if hev is None or wev < hev:
-                    ev = wev
-                    from_wheel = True
-                else:
-                    ev = hev
-            else:
-                ev = queue.peek()
-                if ev is None:
-                    break
-            t = ev[0]
-            if t >= until:
-                # It belongs to a later run() call; leave it in place.
-                stats.horizon_reached = True
-                break
-            if from_wheel:
-                wheel.pop()
-            else:
-                _heappop(heap)
-            state = ev[2]
-            self.now = t
-            if mod:
-                slot = ev[1] % mod
-                self.current_owner = slot if slot < nown else (slot - nown) % nown
-            fired += 1
-            ev[2] = ST_CONSUMED
-            ev[3](*ev[4])
-            if state == ST_POOLED and len(pool) < POOL_CAP:
-                pool.append(ev)
-        else:
-            stats.stopped_early = True
-        stats.events_fired = fired
-        stats.last_event_time = self.now
-        if stats.horizon_reached and self.now < until:
-            # A deferred event exists; park the clock at the window edge.
-            self.now = until
-
     def _run_general(
         self, stats: RunStats, until: Optional[float], max_events: Optional[int]
     ) -> None:
-        """Run with horizon / max-events / tracing / sampling / fire
-        logging. Peeks before popping so an event beyond the horizon is
+        """Run with horizon / max-events / tracing / sampling. Peeks before popping so an event beyond the horizon is
         never removed — that is what keeps cancel handles valid across
         successive horizons."""
         queue = self._queue
@@ -681,7 +585,6 @@ class Engine:
         pool = self._pool
         tracer = self.tracer
         sampler = self.sampler
-        fire_log = self.fire_log
         mod = self._owner_mod
         nown = self._n_owners
         next_due = sampler.next_due if sampler is not None else None
@@ -733,8 +636,6 @@ class Engine:
                 tracer.record(
                     "event", t=t, fn=getattr(ev[3], "__qualname__", "?")
                 )
-            if fire_log is not None:
-                fire_log.append((t, ev[1]))
             state = ev[2]
             ev[2] = ST_CONSUMED
             ev[3](*ev[4])

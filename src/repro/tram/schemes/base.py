@@ -115,9 +115,8 @@ class SchemeBase:
         self.deliver_item = deliver_item
         self.deliver_bulk = deliver_bulk
         # Multi-node runtimes shard the order-sensitive float
-        # accumulators per simulated node (in both sequential and
-        # partitioned runs), so a PDES partition writes the exact shard
-        # sequences the sequential engine would — see NodeShardedLatency.
+        # accumulators per simulated node and fold them in node order;
+        # that fold order is part of the result — see NodeShardedLatency.
         n_nodes = rt.machine.nodes
         self.stats = TramStats(
             latency=(

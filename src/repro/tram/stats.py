@@ -117,15 +117,13 @@ class LatencyAggregate:
 class NodeShardedLatency:
     """Per-node latency shards, folded in fixed node order at read time.
 
-    Float accumulation is order-sensitive, so a single accumulator
-    written in global event order could never be reproduced bit-for-bit
-    by a partitioned run (:mod:`repro.sim.parallel`), where each node's
-    records happen in a different process. Sharding per simulated node
-    makes every write sequence *node-local* — identical in sequential
-    and partitioned executions — and the read-time fold visits shards in
-    fixed node order, so both modes produce the same bytes. Multi-node
-    runtimes use this in *both* modes; single-node runtimes keep the
-    plain :class:`LatencyAggregate` untouched.
+    Float accumulation is order-sensitive: the fold order decides the
+    low bits of every mean. Multi-node runtimes keep one shard per
+    simulated node and fold the shards in fixed node order when read,
+    and that order is part of the simulated result. Replacing the shards
+    with one accumulator written in global event order would change the
+    mean-latency bits of the multi-node reference outputs. Single-node
+    runtimes keep the plain :class:`LatencyAggregate`.
 
     The recording shard is selected by ``engine.current_owner`` — the
     node that owns the event being executed (records happen in delivery

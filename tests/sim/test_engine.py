@@ -158,15 +158,3 @@ class TestDeterminism:
             return [f for _, f in tracer.records("event")]
 
         assert build() == build()
-
-
-class TestRunStats:
-    def test_merge(self):
-        from repro.sim.engine import RunStats
-
-        a = RunStats(events_fired=3, end_time=10.0)
-        b = RunStats(events_fired=2, end_time=5.0, stopped_early=True)
-        a.merge(b)
-        assert a.events_fired == 5
-        assert a.end_time == 10.0
-        assert a.stopped_early

@@ -9,10 +9,9 @@ class TestHorizonBoundaries:
     def test_event_exactly_at_horizon_deferred(self):
         """An event AT the horizon belongs to the next window.
 
-        ``run(until=h)`` fires strictly-less-than ``h`` — the window
-        semantics the partitioned engine builds on: successive horizons
-        ``h1 < h2 < ...`` fire every event exactly once, in the window
-        ``[h_{k-1}, h_k)`` containing it. (Regression: the general and
+        ``run(until=h)`` fires strictly-less-than ``h``, so successive
+        horizons ``h1 < h2 < ...`` fire every event exactly once, in the
+        window ``[h_{k-1}, h_k)`` containing it. (Regression: the general and
         sampled loops used to disagree on this boundary.)
         """
         eng = Engine()
@@ -35,8 +34,8 @@ class TestHorizonBoundaries:
         assert eng.pending == 1
 
     def test_boundary_agrees_between_general_and_window_loops(self):
-        """The lean window loop and the general (max_events) loop fire
-        the same strictly-less-than boundary set."""
+        """Horizon runs with and without ``max_events`` fire the same
+        strictly-less-than boundary set."""
         for kwargs in ({}, {"max_events": 100}):
             eng = Engine()
             fired = []
@@ -90,7 +89,7 @@ class TestHorizonBoundaries:
     def test_queue_drains_before_horizon(self):
         """The clock is parked at ``until`` only when an event is left
         queued at or past it; a queue that drains first leaves the clock
-        at the last fired event (the PDES window loop relies on this)."""
+        at the last fired event."""
         eng = Engine()
         fired = []
         eng.after(5.0, fired.append, "x")
