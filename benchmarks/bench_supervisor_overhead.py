@@ -41,6 +41,7 @@ import time
 from pathlib import Path
 
 from repro.harness.sweep import run_sweep
+from repro.runconfig import PoolConfig, RunConfig
 
 SCHEMA = "repro.bench-supervisor/1"
 
@@ -68,12 +69,13 @@ def _n_points() -> int:
     return len(AXES["x"]) * len(SEEDS)
 
 
-def _best_wall(**kwargs) -> float:
-    """Min-of-REPEATS wall time for one sweep configuration."""
+def _best_wall(**pool) -> float:
+    """Min-of-REPEATS wall time for one pool configuration."""
+    config = RunConfig(pool=PoolConfig(**pool))
     best = float("inf")
     for _ in range(REPEATS):
         t0 = time.perf_counter()
-        run_sweep(_busy_point, AXES, seeds=SEEDS, tag=TAG, **kwargs)
+        run_sweep(_busy_point, AXES, seeds=SEEDS, tag=TAG, config=config)
         best = min(best, time.perf_counter() - t0)
     return best
 
@@ -92,7 +94,7 @@ def run_suite(parallel: int) -> dict:
            f"{n} cheap points, serial, no cache")
 
     with tempfile.TemporaryDirectory(prefix="bench-supervisor") as td:
-        serial_cached = _best_wall(cache_dir=Path(td), fresh=True)
+        serial_cached = _best_wall(cache_dir=Path(td), cache_read=False)
     report("serial_cached", n / serial_cached, "points/sec",
            "same grid writing every point to the fsync'd result cache")
     report("cache_write_tax_ms",

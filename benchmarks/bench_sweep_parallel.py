@@ -44,6 +44,7 @@ from pathlib import Path
 from repro.harness.artifact import canonical_metrics_bytes
 from repro.harness.pool import run_app_point
 from repro.harness.sweep import run_sweep
+from repro.runconfig import PoolConfig, RunConfig
 
 SCHEMA = "repro.bench-sweep/1"
 
@@ -84,9 +85,12 @@ def bench_throughput(parallel: int, metrics_path=None, cache_dir=None,
                      fresh=False):
     """One full sweep of the grid; returns (wall_s, SweepResult)."""
     t0 = time.perf_counter()
+    pool = PoolConfig(
+        parallel=parallel, cache_dir=cache_dir, cache_read=not fresh
+    )
     result = run_sweep(
-        POINT_FN, AXES, seeds=SEEDS, tag=TAG, parallel=parallel,
-        cache_dir=cache_dir, fresh=fresh, metrics_path=metrics_path,
+        POINT_FN, AXES, seeds=SEEDS, tag=TAG, metrics_path=metrics_path,
+        config=RunConfig(pool=pool),
     )
     return time.perf_counter() - t0, result
 

@@ -48,6 +48,7 @@ from repro.harness.artifact import (  # noqa: E402
 )
 from repro.harness.pool import run_app_point  # noqa: E402
 from repro.harness.sweep import run_sweep  # noqa: E402
+from repro.runconfig import PoolConfig, RunConfig  # noqa: E402
 
 CHAOS_DIR_ENV = "REPRO_CHAOS_DIR"
 
@@ -97,7 +98,9 @@ def main() -> int:
     t0 = time.perf_counter()
     chaotic = run_sweep(
         chaos_point, AXES, seeds=SEEDS, tag=TAG, metrics_path=chaos_path,
-        parallel=3, retries=3, point_timeout_s=10.0,
+        config=RunConfig(
+            pool=PoolConfig(parallel=3, retries=3, point_timeout_s=10.0)
+        ),
     )
     chaotic_wall = time.perf_counter() - t0
     fired = sorted(p.name for p in chaos_dir.iterdir())

@@ -21,6 +21,9 @@ The package provides:
   escalation and (opt-in) per-destination load shedding;
 * :mod:`repro.analysis` — the paper's §III-C closed-form cost analysis;
 * :mod:`repro.apps` — PingAck, histogram, index-gather, SSSP and PHOLD;
+* :mod:`repro.runconfig` — :class:`RunConfig`, the one frozen run
+  configuration (faults, reliability, flow, observability, sweep pool),
+  and the :class:`RunContext` that installs it ambiently;
 * :mod:`repro.harness` — per-figure experiment harness and CLI.
 
 Quickstart
@@ -54,7 +57,8 @@ from repro.machine import (
     nonsmp_machine,
     small_test_machine,
 )
-from repro.obs import ObsConfig, ObsSession
+from repro.obs import ObsConfig
+from repro.runconfig import PoolConfig, RunConfig, RunContext
 from repro.runtime import (
     Chare,
     ExecContext,
@@ -85,13 +89,15 @@ __all__ = [
     "MachineConfig",
     "NS",
     "ObsConfig",
-    "ObsSession",
+    "PoolConfig",
     "QDCounter",
     "QuiescenceError",
     "ReliabilityConfig",
     "ReproError",
     "RetryExhaustedError",
     "RngStreams",
+    "RunConfig",
+    "RunContext",
     "RuntimeSystem",
     "SEC",
     "SchedulingError",

@@ -9,7 +9,7 @@ faults. Plans are pure data; the seeded dice live in
 :class:`~repro.faults.injector.FaultInjector`.
 
 Plans are off by default and zero-cost when absent: a runtime built
-without one (and outside a :class:`~repro.faults.context.FaultSession`)
+without one (and outside a :class:`~repro.faults.FaultSession`)
 carries ``rt.faults is None`` and every hook reduces to that one check —
 the same gating pattern as :class:`~repro.obs.config.ObsConfig`.
 """

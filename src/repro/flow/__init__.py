@@ -9,13 +9,9 @@ config pays one ``is None`` check per message.
 """
 
 from repro.flow.config import FlowConfig
-from repro.flow.context import (
-    FlowSession,
-    active_flow_config,
-    active_flow_session,
-)
 from repro.flow.controller import FlowController, FlowStats, conservation_ledger
 from repro.flow.credit import CreditGate
+from repro.runconfig import FlowSession
 
 __all__ = [
     "FlowConfig",
@@ -24,6 +20,4 @@ __all__ = [
     "CreditGate",
     "conservation_ledger",
     "FlowSession",
-    "active_flow_config",
-    "active_flow_session",
 ]

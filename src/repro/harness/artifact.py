@@ -132,7 +132,7 @@ def build_metrics_payload(
     profile:
         The harness profile (``paper``/``quick``) or equivalent label.
     runs:
-        Per-run snapshots, normally ``ObsSession.records``.
+        Per-run snapshots, normally ``RunContext.records``.
     figure / sweep:
         Optional :class:`~repro.harness.experiment.FigureData` /
         :class:`~repro.harness.sweep.SweepResult` to embed.

@@ -9,7 +9,10 @@ keyed by a stable hash over everything that determines its result:
   every cached point automatically),
 * a fingerprint of the simulator's source (so any code edit that could
   change a result invalidates every cached point too),
-* the ambient fault plan and flow-control config, when active.
+* the result-determining fields of the active
+  :class:`~repro.runconfig.RunConfig` (faults, reliability, flow and,
+  when on, the timeline recorder; see
+  :meth:`~repro.runconfig.RunConfig.key_payload`).
 
 Completed points are persisted as individual JSON artifacts under a
 cache directory (``<root>/<key[:2]>/<key>.json``, fsync'd and written
@@ -33,9 +36,11 @@ import os
 from pathlib import Path
 from typing import Any, Dict, Iterator, Mapping, Optional
 
+from repro.runconfig import RunConfig
+
 #: Bump on any change that invalidates previously cached points
 #: (entry layout, key ingredients, record semantics).
-CACHE_SCHEMA = "repro.sweep-cache/2"
+CACHE_SCHEMA = "repro.sweep-cache/3"
 
 #: Subpackages of :mod:`repro` whose code determines simulated results.
 #: The harness, observability and analysis layers only run, record or
@@ -99,20 +104,16 @@ def point_key(
     params: Mapping[str, Any],
     seed: int,
     costs: Any = None,
-    faults: Any = None,
-    flow: Any = None,
-    obs: Any = None,
+    run: Optional[Mapping[str, Any]] = None,
 ) -> str:
     """Stable content hash identifying one sweep point.
 
-    ``faults`` / ``flow`` are the ambient :class:`~repro.faults.FaultPlan`
-    and :class:`~repro.flow.FlowConfig` (or ``None``); they are folded in
-    as dataclass dicts so a degraded or flow-controlled sweep never
-    shares entries with a clean one. ``obs`` is the ambient
-    :class:`~repro.obs.TimelineConfig` when the flight recorder is on:
-    timeline-bearing records must not replay into (or from) plain runs.
-    It is folded in only when set, so enabling the recorder never
-    invalidates existing plain-run caches.
+    ``run`` is the active run config's
+    :meth:`~repro.runconfig.RunConfig.key_payload` (``None`` reads as a
+    clean config): its fault plan, reliability, flow and timeline
+    configs are folded in as dataclass dicts, so a degraded,
+    flow-controlled or recorded sweep never shares entries with a
+    clean one.
     """
     payload = {
         "schema": CACHE_SCHEMA,
@@ -121,11 +122,8 @@ def point_key(
         "seed": int(seed),
         "costs": cost_model_fingerprint(costs),
         "source": source_fingerprint(),
-        "faults": faults,
-        "flow": flow,
+        "run": dict(run) if run is not None else RunConfig().key_payload(),
     }
-    if obs is not None:
-        payload["obs"] = obs
     blob = json.dumps(
         payload, sort_keys=True, separators=(",", ":"), default=_jsonable
     )
@@ -137,7 +135,7 @@ class ResultCache:
 
     Entries are plain JSON documents::
 
-        {"schema": "repro.sweep-cache/2", "key": ..., "tag": ...,
+        {"schema": "repro.sweep-cache/3", "key": ..., "tag": ...,
          "params": {...}, "seed": 0, "value": <metric payload>,
          "records": [<run snapshot>, ...], "meta": {"wall_s": ..., ...}}
 

@@ -21,6 +21,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro.harness.figures import FIGURES, run_figure
+from repro.runconfig import PoolConfig, RunConfig
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -75,8 +76,9 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SPEC",
         help=(
-            "run figures under seeded fault injection + reliable "
-            "delivery; SPEC is comma-separated key=value pairs, e.g. "
+            "run under seeded fault injection + reliable delivery "
+            "(figure ids, 'all', 'sweep' and 'validate'); SPEC is "
+            "comma-separated key=value pairs, e.g. "
             "'drop=0.01,dup=0.005,corrupt=0.001,reorder=0.02'"
         ),
     )
@@ -85,9 +87,10 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SPEC",
         help=(
-            "run figures under credit-based flow control (bounded "
+            "run under credit-based flow control (bounded "
             "comm-thread/NIC occupancy, backpressure, overload "
-            "escalation); SPEC is comma-separated key=value pairs, e.g. "
+            "escalation; figure ids, 'all', 'sweep' and 'validate'); "
+            "SPEC is comma-separated key=value pairs, e.g. "
             "'ct_msgs=64,ct_bytes=1048576,overload=200000,shed=2000000'"
         ),
     )
@@ -284,18 +287,75 @@ def _parse_fixed(spec: str) -> dict:
     return fixed
 
 
-def _timeline_config(args):
-    """The :class:`~repro.obs.TimelineConfig` the flags ask for, or None."""
-    if not getattr(args, "timeline", False):
-        return None
-    from repro.obs import TimelineConfig
+#: Options that build the RunConfig (see :func:`_run_config`).
+_RUN_OPTIONS = frozenset({
+    "faults", "flow", "timeline", "timeline_cadence", "timeline_capacity",
+    "status", "status_json", "parallel", "cache_dir", "no_cache", "fresh",
+    "retries", "point_timeout",
+})
+_SWEEP_OPTIONS = frozenset({
+    "app", "axes", "fixed", "seeds", "metric", "max_points",
+})
 
-    return TimelineConfig(
-        cadence_ns=args.timeline_cadence, capacity=args.timeline_capacity
+#: The options each target honours; figure ids and 'all' take
+#: :data:`_FIGURE_OPTIONS`. Any other option given is an error, never
+#: silently dropped.
+_FIGURE_OPTIONS = _RUN_OPTIONS | {"profile", "out", "metrics_out"}
+_TARGET_OPTIONS = {
+    "sweep": _RUN_OPTIONS | _SWEEP_OPTIONS | {"out", "metrics_out"},
+    "validate": _RUN_OPTIONS | {"profile"},
+    "report": frozenset({"profile", "out"}),
+    "list": frozenset(),
+    "validate-metrics": frozenset({"path"}),
+    "timeline-plot": frozenset({"path", "out"}),
+}
+
+
+def _unhonoured(parser: argparse.ArgumentParser, args) -> List[str]:
+    """The options given on the command line that the target ignores."""
+    takes = _TARGET_OPTIONS.get(args.target, _FIGURE_OPTIONS)
+    return [
+        "PATH" if dest == "path" else "--" + dest.replace("_", "-")
+        for dest, value in vars(args).items()
+        if dest != "target" and dest not in takes
+        and value != parser.get_default(dest)
+    ]
+
+
+def _run_config(args) -> RunConfig:
+    """The one :class:`~repro.runconfig.RunConfig` a run target runs under."""
+    from repro.obs import ObsConfig, TimelineConfig
+
+    sweep = args.target == "sweep"
+    obs = None
+    if args.timeline:
+        obs = ObsConfig(timeline=TimelineConfig(
+            cadence_ns=args.timeline_cadence, capacity=args.timeline_capacity
+        ))
+    cache_dir = None
+    if not args.no_cache:
+        cache_dir = args.cache_dir
+        if cache_dir is None and sweep:
+            cache_dir = Path(".repro-cache") / "sweep"
+    return RunConfig(
+        faults=args.faults,
+        flow=args.flow,
+        obs=obs,
+        pool=PoolConfig(
+            parallel=args.parallel,
+            cache_dir=cache_dir,
+            cache_read=not args.fresh,
+            max_executions=args.max_points,
+            status=args.status,
+            status_json=args.status_json,
+            retries=args.retries,
+            point_timeout_s=args.point_timeout,
+            drain_signals=sweep,
+        ),
     )
 
 
-def _run_sweep_cmd(args) -> int:
+def _run_sweep_cmd(args, config: RunConfig) -> int:
     import functools
     import json as _json
 
@@ -320,33 +380,11 @@ def _run_sweep_cmd(args) -> int:
     tag = f"app:{args.app}:{args.metric}:" + _json.dumps(
         fixed, sort_keys=True, separators=(",", ":")
     )
-    cache_dir = None
-    if not args.no_cache:
-        cache_dir = (
-            args.cache_dir
-            if args.cache_dir is not None
-            else Path(".repro-cache") / "sweep"
-        )
     t0 = time.perf_counter()
     try:
         result = run_sweep(
-            fn,
-            axes,
-            seeds=seeds,
-            metric=args.metric,
-            metrics_path=args.metrics_out,
-            flow=args.flow,
-            timeline=_timeline_config(args),
-            parallel=args.parallel,
-            cache_dir=cache_dir,
-            fresh=args.fresh,
-            tag=tag,
-            max_executions=args.max_points,
-            status=args.status,
-            status_json=args.status_json,
-            retries=args.retries,
-            point_timeout_s=args.point_timeout,
-            drain_signals=True,
+            fn, axes, seeds=seeds, metric=args.metric,
+            metrics_path=args.metrics_out, tag=tag, config=config,
         )
     except SweepInterrupted as exc:
         print(f"sweep interrupted: {exc}", file=sys.stderr)
@@ -377,43 +415,25 @@ def _run_sweep_cmd(args) -> int:
 
 
 def _run_one(
-    fig_id: str,
-    profile: str,
-    out: Optional[Path],
-    metrics_out: Optional[Path] = None,
-    faults: Optional[str] = None,
-    flow: Optional[str] = None,
-    parallel: int = 1,
-    cache_dir: Optional[Path] = None,
-    fresh: bool = False,
-    timeline=None,
-    status: bool = False,
-    status_json: Optional[Path] = None,
-    retries: int = 0,
-    point_timeout_s: Optional[float] = None,
+    fig_id: str, args, config: RunConfig, metrics_out: Optional[Path]
 ) -> None:
     t0 = time.perf_counter()
-    data = run_figure(
-        fig_id, profile, metrics_path=metrics_out, faults=faults, flow=flow,
-        timeline=timeline, parallel=parallel, cache_dir=cache_dir,
-        fresh=fresh, status=status, status_json=status_json,
-        retries=retries, point_timeout_s=point_timeout_s,
-    )
+    data = run_figure(fig_id, args.profile, config, metrics_out)
     elapsed = time.perf_counter() - t0
     report = data.render()
     print(report)
-    suffix = f" under faults '{faults}'" if faults else ""
-    if flow:
-        suffix += f" with flow control '{flow}'"
-    if parallel != 1:
-        suffix += f" at --parallel {parallel}"
+    suffix = f" under faults '{args.faults}'" if args.faults else ""
+    if args.flow:
+        suffix += f" with flow control '{args.flow}'"
+    if args.parallel != 1:
+        suffix += f" at --parallel {args.parallel}"
     print(f"[{fig_id} regenerated in {elapsed:.1f}s wall{suffix}]")
     if metrics_out is not None:
         print(f"[metrics artifact written to {metrics_out}]")
     print()
-    if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
-        (out / f"{fig_id}.txt").write_text(report + "\n")
+    if args.out is not None:
+        args.out.mkdir(parents=True, exist_ok=True)
+        (args.out / f"{fig_id}.txt").write_text(report + "\n")
 
 
 def _validate_metrics(path: Optional[Path]) -> int:
@@ -445,25 +465,16 @@ def _validate_metrics(path: Optional[Path]) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
-    if getattr(args, "faults", None) is not None:
-        from repro.errors import FaultInjectionError
-        from repro.faults import FaultPlan
-
-        try:
-            FaultPlan.parse(args.faults)
-        except FaultInjectionError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    if getattr(args, "flow", None) is not None:
-        from repro.errors import FlowControlError
-        from repro.flow import FlowConfig
-
-        try:
-            FlowConfig.parse(args.flow)
-        except FlowControlError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    ignored = _unhonoured(parser, args)
+    if ignored:
+        print(
+            f"error: target {args.target!r} does not take "
+            f"{', '.join(ignored)}",
+            file=sys.stderr,
+        )
+        return 2
     if args.target == "list":
         width = max(len(k) for k in FIGURES)
         for fig_id, (_, desc) in FIGURES.items():
@@ -475,34 +486,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         from repro.harness.timeline_plot import run_timeline_plot
 
         return run_timeline_plot(args.path, out=args.out)
-    if args.target == "sweep":
-        return _run_sweep_cmd(args)
-    fig_cache = None if args.no_cache else args.cache_dir
-    if args.target == "all":
-        for fig_id in FIGURES:
-            metrics_out = (
-                args.metrics_out / f"{fig_id}.json"
-                if args.metrics_out is not None
-                else None
-            )
-            _run_one(
-                fig_id, args.profile, args.out, metrics_out, args.faults,
-                args.flow, args.parallel, fig_cache, args.fresh,
-                _timeline_config(args), args.status, args.status_json,
-                args.retries, args.point_timeout,
-            )
-        return 0
-    if args.target == "validate":
-        from repro.harness.validate import render_results, validate_reproduction
-
-        results = validate_reproduction(
-            profile=args.profile, parallel=args.parallel, cache_dir=fig_cache,
-            retries=args.retries, point_timeout_s=args.point_timeout,
-        )
-        print(render_results(results))
-        failed = [r for r in results if not r.passed]
-        print(f"\n{len(results) - len(failed)}/{len(results)} checks passed")
-        return 1 if failed else 0
     if args.target == "report":
         from repro.harness.report import write_report
 
@@ -511,7 +494,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         path = write_report(outdir / "REPORT.md", profile=args.profile)
         print(f"wrote {path}")
         return 0
-    if args.target not in FIGURES:
+    if args.target not in FIGURES and args.target not in (
+        "all", "sweep", "validate"
+    ):
         print(
             f"error: unknown target {args.target!r} "
             f"(known: {', '.join(FIGURES)}, all, sweep, report, validate, "
@@ -519,12 +504,33 @@ def main(argv: Optional[List[str]] = None) -> int:
             file=sys.stderr,
         )
         return 2
-    _run_one(
-        args.target, args.profile, args.out, args.metrics_out, args.faults,
-        args.flow, args.parallel, fig_cache, args.fresh,
-        _timeline_config(args), args.status, args.status_json,
-        args.retries, args.point_timeout,
-    )
+    from repro.errors import FaultInjectionError, FlowControlError
+
+    try:
+        config = _run_config(args)
+    except (FaultInjectionError, FlowControlError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    if args.target == "sweep":
+        return _run_sweep_cmd(args, config)
+    if args.target == "validate":
+        from repro.harness.validate import render_results, validate_reproduction
+
+        results = validate_reproduction(profile=args.profile, config=config)
+        print(render_results(results))
+        failed = [r for r in results if not r.passed]
+        print(f"\n{len(results) - len(failed)}/{len(results)} checks passed")
+        return 1 if failed else 0
+    if args.target == "all":
+        for fig_id in FIGURES:
+            metrics_out = (
+                args.metrics_out / f"{fig_id}.json"
+                if args.metrics_out is not None
+                else None
+            )
+            _run_one(fig_id, args, config, metrics_out)
+        return 0
+    _run_one(args.target, args, config, args.metrics_out)
     return 0
 
 

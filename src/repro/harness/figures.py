@@ -33,6 +33,7 @@ from repro.errors import HarnessError
 from repro.harness.experiment import FigureData, Series
 from repro.machine import MachineConfig, nonsmp_machine
 from repro.network.pingpong import measure_pingpong
+from repro.runconfig import RunConfig, RunContext
 from repro.tram import SCHEME_NAMES
 
 #: Scaled stand-in for a Delta node (paper: 8 processes x 8 workers).
@@ -710,47 +711,27 @@ FIGURES: Dict[str, Tuple[Callable[[str], FigureData], str]] = {
 
 
 def run_figure(
-    fig_id: str, profile: str = "paper", metrics_path=None, faults=None,
-    flow=None, timeline=None, parallel: int = 1, cache_dir=None,
-    fresh: bool = False, status: bool = False, status_json=None,
-    retries: int = 0, point_timeout_s=None,
+    fig_id: str,
+    profile: str = "paper",
+    config: RunConfig = RunConfig(),
+    metrics_path=None,
 ) -> FigureData:
     """Run one registered experiment by id.
 
-    With ``metrics_path`` set, the figure body runs inside an
-    :class:`~repro.obs.config.ObsSession` (stage-attributed latency
-    spans on) and a schema-versioned JSON artifact with one snapshot per
-    simulation run is written there (see :mod:`repro.harness.artifact`).
+    The figure body runs inside a :class:`~repro.runconfig.RunContext`
+    entered with ``config`` (a :class:`~repro.runconfig.RunConfig`):
+    its fault plan (plus reliable delivery), flow control and flight
+    recorder apply to every simulation, and its pool settings configure
+    the sweep pool for the figure's grid-shaped bodies (see
+    :mod:`repro.harness.pool`) — worker processes, the
+    content-addressed result cache, fleet telemetry and retries — with
+    identical figure data either way. Figures should fail fast on an
+    exhausted point (leave ``pool.quarantine`` off): a figure with holes
+    in it is not a figure.
 
-    With ``faults`` set (a :class:`~repro.faults.FaultPlan` or a spec
-    string for :meth:`~repro.faults.FaultPlan.parse`), the figure body
-    runs inside a :class:`~repro.faults.FaultSession`: every simulation
-    gets seeded fault injection plus the reliable-delivery layer, so the
-    figure exercises the degraded data path end to end.
-
-    With ``flow`` set (a :class:`~repro.flow.FlowConfig` or a spec
-    string for :meth:`~repro.flow.FlowConfig.parse`), every simulation
-    runs with credit-based flow control: bounded comm-thread/NIC
-    occupancy, source backpressure and overload escalation.
-
-    With ``timeline`` set (a :class:`~repro.obs.TimelineConfig`), every
-    simulation carries the flight recorder: per-run ``timeline`` blocks
-    (time-series of queue depth, backlog, credit occupancy, ...) land in
-    the metrics artifact.
-
-    ``parallel``/``cache_dir``/``fresh`` configure the sweep pool for
-    the figure's grid-shaped bodies (see :mod:`repro.harness.pool`):
-    points are dispatched to worker processes and/or replayed from the
-    content-addressed result cache, with identical figure data and
-    artifact contents either way (modulo the provenance block).
-    ``status``/``status_json`` turn on live fleet telemetry while the
-    pool runs (see :mod:`repro.harness.fleet`).
-
-    ``retries``/``point_timeout_s`` configure the pool's supervisor:
-    failed or hung points are retried with seeded backoff and the
-    sweep survives worker crashes. Figures fail fast on an exhausted
-    point (no quarantine) — a figure with holes in it is not a figure.
-
+    With ``metrics_path`` set, observability is on and a
+    schema-versioned JSON artifact with one snapshot per simulation run
+    is written there (see :mod:`repro.harness.artifact`).
     """
     try:
         fn, _ = FIGURES[fig_id]
@@ -758,98 +739,34 @@ def run_figure(
         raise HarnessError(
             f"unknown figure {fig_id!r}; known: {', '.join(FIGURES)}"
         ) from None
-    plan = None
-    if faults is not None:
-        from repro.faults import FaultPlan
-
-        plan = faults if isinstance(faults, FaultPlan) else FaultPlan.parse(faults)
-        if plan.is_noop():
-            plan = None
-    fcfg = None
-    if flow is not None:
-        from repro.flow import FlowConfig
-
-        fcfg = flow if isinstance(flow, FlowConfig) else FlowConfig.parse(flow)
-        if not fcfg.enabled:
-            fcfg = None
-    pooled = parallel != 1 or cache_dir is not None
-    if (
-        metrics_path is None and plan is None and fcfg is None
-        and timeline is None and not pooled
-    ):
+    if metrics_path is None and config == RunConfig():
         return fn(profile)
-
-    from contextlib import ExitStack
-
-    from repro.harness.pool import PoolConfig, pool_session
+    if metrics_path is not None:
+        config = config.with_obs()
 
     # The shared sweeps memoize results; a cached hit would run no
-    # simulations inside the session (empty artifact / no faults or
+    # simulations inside the context (empty artifact / no faults or
     # backpressure applied), and a result computed under a degraded or
-    # flow-controlled data path must not leak into later clean
+    # flow-controlled data path must not leak into later plain
     # invocations.
     _ig_sweep.cache_clear()
     _sssp_sweep.cache_clear()
-    session = None
     try:
-        with ExitStack() as stack:
-            if plan is not None:
-                from repro.faults import FaultSession
-
-                stack.enter_context(FaultSession(plan))
-            if fcfg is not None:
-                from repro.flow import FlowSession
-
-                stack.enter_context(FlowSession(fcfg))
-            if metrics_path is not None or timeline is not None:
-                from repro.obs import ObsConfig, ObsSession
-
-                session = stack.enter_context(
-                    ObsSession(ObsConfig(timeline=timeline))
-                )
-            # Entered last so forked workers inherit the fault/flow/obs
-            # sessions above.
-            pool_ctx = stack.enter_context(
-                pool_session(
-                    PoolConfig(
-                        parallel=parallel,
-                        cache_dir=cache_dir,
-                        cache_read=not fresh,
-                        status=status,
-                        status_json=status_json,
-                        retries=retries,
-                        point_timeout_s=point_timeout_s,
-                    )
-                )
-            )
+        with RunContext(config) as ctx:
             data = fn(profile)
     finally:
-        if (
-            plan is not None or fcfg is not None or timeline is not None
-            or pooled
-        ):
-            _ig_sweep.cache_clear()
-            _sssp_sweep.cache_clear()
+        _ig_sweep.cache_clear()
+        _sssp_sweep.cache_clear()
     if metrics_path is not None:
-        from dataclasses import asdict
-
         from repro.harness.artifact import build_metrics_payload, write_metrics_json
 
-        extra = {}
-        if plan is not None:
-            extra["faults"] = asdict(plan)
-        if fcfg is not None:
-            extra["flow"] = asdict(fcfg)
-        if timeline is not None:
-            extra["timeline"] = asdict(timeline)
-        provenance = pool_ctx.provenance_payload()
         payload = build_metrics_payload(
             target=fig_id,
             profile=profile,
-            runs=session.records,
+            runs=ctx.records,
             figure=data,
-            extra_config=extra or None,
-            provenance=provenance,
+            extra_config=config.artifact_config(),
+            provenance=ctx.pool.provenance_payload(),
         )
         write_metrics_json(metrics_path, payload)
     return data

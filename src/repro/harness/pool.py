@@ -47,12 +47,11 @@ dispatches them:
   8`` and trips the byte-identity tests — results must derive only
   from the point spec's seed.
 
-Processes are forked lazily per :func:`map_points` call, so ambient
-sessions (:class:`~repro.faults.FaultSession`,
-:class:`~repro.flow.FlowSession`, :class:`~repro.obs.ObsSession`)
-entered by the caller are inherited by the workers; fork is also what
-lets arbitrary in-process callables (closures, partials) run in workers
-without pickling. On platforms without ``fork`` the executor degrades
+Processes are forked lazily per :func:`map_points` call, so the
+ambient :class:`~repro.runconfig.RunContext` entered by the caller (its
+faults, flow and observability) is inherited by the workers; fork is
+also what lets arbitrary in-process callables (closures, partials) run
+in workers without pickling. On platforms without ``fork`` the executor degrades
 to the serial path.
 """
 
@@ -69,12 +68,12 @@ import traceback
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.errors import HarnessError
 from repro.harness.cache import ResultCache, point_key
 from repro.harness.fleet import channel_trips_of
+from repro.runconfig import PoolConfig, RunConfig, RunContext, active
 
 #: Scramble bases for the ambient-RNG guard (arbitrary, fixed).
 _GUARD_SEED = 0x5EED_CA5E
@@ -145,53 +144,12 @@ class PointOutcome:
     source: str = "exec"
 
 
-@dataclass
-class PoolConfig:
-    """How a pool session executes points."""
-
-    #: Number of worker processes; <=1 runs points in-process.
-    parallel: int = 1
-    #: Cache directory; ``None`` disables persistence entirely.
-    cache_dir: Optional[Path] = None
-    #: Read previously cached points (turned off by ``--fresh``).
-    cache_read: bool = True
-    #: Persist newly executed points.
-    cache_write: bool = True
-    #: Execute at most this many points (cache hits are free), then
-    #: raise :class:`SweepInterrupted` — the resumability test hook.
-    max_executions: Optional[int] = None
-    #: Render a throttled fleet-status line to stderr while running.
-    status: bool = False
-    #: Rewrite this JSON file (atomically) with live fleet status —
-    #: queue depth, hit rate, per-worker throughput, ETA.
-    status_json: Optional[Path] = None
-    #: Minimum wall-clock seconds between status updates.
-    status_interval_s: float = 0.5
-    # ------------------------------------------------------- supervision
-    #: Extra attempts per point after the first failure.
-    retries: int = 0
-    #: Wall-clock budget per point; a worker stuck past it is killed
-    #: and the point counts as a failed attempt. Parallel runs only —
-    #: the serial in-process path cannot preempt a running point.
-    point_timeout_s: Optional[float] = None
-    #: First-retry backoff; doubles per attempt (seeded +/-50% jitter).
-    backoff_base_s: float = 0.05
-    #: Cap on a single backoff delay.
-    backoff_max_s: float = 2.0
-    #: Worker respawn budget for the whole dispatch; ``None`` means
-    #: ``2 * nworkers + 2``.
-    max_restarts: Optional[int] = None
-    #: Quarantine points that exhaust their retry budget as
-    #: ``poisoned`` outcomes instead of failing the sweep.
-    quarantine: bool = False
-    #: Handle SIGINT/SIGTERM as a graceful drain: finish in-flight
-    #: points (caching each), flush fleet status, raise
-    #: SweepInterrupted.
-    drain_signals: bool = False
-
-
 class PoolContext:
-    """Ambient state for one sweep/figure invocation."""
+    """Pool state of one sweep/figure invocation: cache and provenance.
+
+    Held by the invocation's :class:`~repro.runconfig.RunContext` (its
+    ``pool`` attribute), built from ``RunConfig.pool``.
+    """
 
     def __init__(self, config: PoolConfig) -> None:
         self.config = config
@@ -264,31 +222,6 @@ class PoolContext:
         }
 
 
-_active: Optional[PoolContext] = None
-
-
-@contextmanager
-def pool_session(config: Optional[PoolConfig] = None):
-    """Install a :class:`PoolContext` as the ambient executor.
-
-    Sessions nest; the innermost wins, mirroring the obs/fault/flow
-    session idiom.
-    """
-    global _active
-    ctx = PoolContext(config if config is not None else PoolConfig())
-    prev = _active
-    _active = ctx
-    try:
-        yield ctx
-    finally:
-        _active = prev
-
-
-def active_pool() -> Optional[PoolContext]:
-    """The innermost active pool context, if any."""
-    return _active
-
-
 # ----------------------------------------------------------------------
 # Point execution
 # ----------------------------------------------------------------------
@@ -337,10 +270,10 @@ def _execute_point(
 ):
     """Run one point, capturing its obs records and wall time.
 
-    Inside an active :class:`~repro.obs.ObsSession` the point's runs
-    report there naturally and the new tail of ``records`` is the
-    capture; otherwise (when records are still needed, e.g. to populate
-    a cache entry) the point runs under its own private session.
+    Inside an active context with obs on, the point's runs report there
+    naturally and the new tail of ``records`` is the capture; otherwise
+    (when records are still needed, e.g. to populate a cache entry) the
+    point runs under a private copy of the active config with obs on.
 
     Earlier points' garbage is collected first. A finished runtime is
     one large reference cycle that only the cyclic collector frees, and
@@ -348,21 +281,21 @@ def _execute_point(
     collections out, so without this the full collection that frees it
     could fall arbitrarily late and hold several runtimes at once.
     """
-    from repro.obs import ObsConfig, ObsSession, active_session
-
     gc.collect()
-    session = active_session()
-    own: Optional[ObsSession] = None
-    if collect_obs and session is None:
-        own = ObsSession(ObsConfig())
+    ctx = active()
+    observed = ctx is not None and ctx.config.obs is not None
+    collector = ctx if observed else None
+    own: Optional[RunContext] = None
+    if collect_obs and collector is None:
+        base = ctx.config if ctx is not None else RunConfig()
+        own = collector = RunContext(base.with_obs())
         own.__enter__()
-        session = own
     try:
-        before = len(session.records) if session is not None else 0
+        before = len(collector.records) if collector is not None else 0
         t0 = time.perf_counter()
         value = fn(seed=spec.seed, **spec.params)
         wall = time.perf_counter() - t0
-        records = session.records[before:] if session is not None else []
+        records = collector.records[before:] if collector is not None else []
     finally:
         if own is not None:
             own.__exit__(None, None, None)
@@ -437,6 +370,10 @@ def _worker_main(worker_id, fn, specs, collect_obs, conn, resq, stale_conns):
         try:
             resq.put(("died", worker_id, traceback.format_exc()))
         except Exception:  # pragma: no cover - result channel broken
+            # Deliberately broad: this is the dying worker's last word
+            # and nothing here may stop the exit below. A lost notice
+            # hides nothing — the parent sees the sentinel fire with
+            # exit code _WORKER_DIED_EXIT and requeues the point.
             pass
         os._exit(_WORKER_DIED_EXIT)
 
@@ -836,10 +773,7 @@ class _Supervisor:
 
 
 def _fork_available() -> bool:
-    try:
-        return "fork" in multiprocessing.get_all_start_methods()
-    except Exception:  # pragma: no cover
-        return False
+    return "fork" in multiprocessing.get_all_start_methods()
 
 
 # ----------------------------------------------------------------------
@@ -886,23 +820,22 @@ def map_points(
     *,
     tag: Optional[str] = None,
     seeds: Sequence[int] = (0,),
-    pool: Optional[PoolContext] = None,
 ) -> List[PointOutcome]:
     """Evaluate ``fn(seed=s, **params)`` for every (params, seed) point.
 
     Points are enumerated in grid-major order (all seeds of a cell are
     adjacent) and the returned outcomes are in that exact order no
-    matter how execution was scheduled. Uses the ambient pool context
-    (serial, cache off) when none is active or passed.
+    matter how execution was scheduled. Executes as the active
+    :class:`~repro.runconfig.RunContext` says (serial, cache off when
+    none is active).
 
-    When the context carries a cache, hits are replayed (value + obs
-    records) without executing, and completed points are persisted as
-    they finish — which is what makes interrupted sweeps resumable.
+    When the context's pool carries a cache, hits are replayed (value +
+    obs records) without executing, and completed points are persisted
+    as they finish — which is what makes interrupted sweeps resumable.
     """
-    ctx = pool if pool is not None else active_pool()
-    if ctx is None:
-        ctx = PoolContext(PoolConfig())
-    cache = ctx.cache
+    run_ctx = active() or RunContext()
+    pool = run_ctx.pool
+    cache = pool.cache
     resolved_tag = tag or _fn_tag(fn)
     if cache is not None and resolved_tag is None:
         raise HarnessError(
@@ -913,27 +846,11 @@ def map_points(
         resolved_tag = repr(fn)
 
     # Observability records are captured per point whenever the caller
-    # is collecting them (active ObsSession) or the cache needs them to
-    # make entries replayable.
-    from repro.obs import active_session
-
-    parent_session = active_session()
-    collect_obs = parent_session is not None or cache is not None
-
-    faults_plan = flow_cfg = obs_cfg = None
-    if cache is not None:
-        from repro.faults.context import active_fault_plan
-        from repro.flow.context import active_flow_config
-
-        faults_plan = active_fault_plan()
-        flow_cfg = active_flow_config()
-        # Timeline-bearing records are shaped differently from plain
-        # ones, so the flight-recorder config is part of the point's
-        # content address (only when on — plain caches stay valid).
-        if parent_session is not None:
-            tl = parent_session.config.timeline
-            if tl is not None and tl.enabled:
-                obs_cfg = tl
+    # is collecting them (obs on) or the cache needs them to make
+    # entries replayable.
+    collector = run_ctx if run_ctx.config.obs is not None else None
+    collect_obs = collector is not None or cache is not None
+    key_input = run_ctx.config.key_payload() if cache is not None else None
 
     specs: List[PointSpec] = []
     for params in grid:
@@ -945,9 +862,7 @@ def map_points(
                     params=params,
                     seed=seed,
                     costs=params.get("costs"),
-                    faults=faults_plan,
-                    flow=flow_cfg,
-                    obs=obs_cfg,
+                    run=key_input,
                 )
             specs.append(
                 PointSpec(
@@ -961,7 +876,7 @@ def map_points(
     todo: List[int] = []
     for spec in specs:
         entry = None
-        if cache is not None and ctx.config.cache_read and spec.key:
+        if cache is not None and pool.config.cache_read and spec.key:
             entry = cache.get(spec.key)
         if entry is not None:
             outcomes[spec.index] = PointOutcome(
@@ -974,7 +889,7 @@ def map_points(
         else:
             todo.append(spec.index)
 
-    budget = ctx.budget_remaining()
+    budget = pool.budget_remaining()
     deferred = 0
     if budget is not None and len(todo) > budget:
         deferred = len(todo) - budget
@@ -983,7 +898,7 @@ def map_points(
     def finish(slot: int, outcome: PointOutcome) -> None:
         if (
             cache is not None
-            and ctx.config.cache_write
+            and pool.config.cache_write
             and outcome.spec.key
             and outcome.status == "ok"
         ):
@@ -1001,34 +916,34 @@ def map_points(
         outcomes[slot] = outcome
 
     # Execute and merge. Observability snapshots must land in the
-    # parent session in strict grid-index order regardless of schedule
+    # collector in strict grid-index order regardless of schedule
     # and cache state, so artifacts never depend on either.
-    nworkers = min(max(1, ctx.config.parallel), max(1, len(todo)))
+    nworkers = min(max(1, pool.config.parallel), max(1, len(todo)))
     from repro.harness.fleet import make_fleet_status
 
     hits_upfront = len(specs) - len(todo) - deferred
-    fleet = make_fleet_status(ctx.config, len(specs), hits_upfront, nworkers)
+    fleet = make_fleet_status(pool.config, len(specs), hits_upfront, nworkers)
     try:
-        with _drain_handler(ctx.config.drain_signals) as drain_state:
+        with _drain_handler(pool.config.drain_signals) as drain_state:
             if todo and nworkers > 1 and _fork_available():
-                # Parallel: workers report nothing to the parent session
+                # Parallel: workers report nothing to the collector
                 # during execution; absorb every point's records
                 # afterwards, in order.
                 supervisor = _Supervisor(
                     fn, specs, todo, nworkers, collect_obs,
-                    ctx.config, ctx, finish, fleet, drain_state,
+                    pool.config, pool, finish, fleet, drain_state,
                 )
                 try:
                     supervisor.run()
                 finally:
-                    if parent_session is not None:
+                    if collector is not None:
                         for outcome in outcomes:
                             if outcome is not None:
-                                parent_session.absorb(outcome.records)
+                                collector.absorb(outcome.records)
             else:
                 _run_serial(
-                    fn, specs, todo, collect_obs, ctx, finish,
-                    fleet, drain_state, outcomes, parent_session,
+                    fn, specs, todo, collect_obs, pool, finish,
+                    fleet, drain_state, outcomes, collector,
                 )
     finally:
         if fleet is not None:
@@ -1038,17 +953,17 @@ def map_points(
     for outcome in outcomes:
         if outcome is None:
             continue
-        ctx.record(resolved_tag, outcome)
+        pool.record(resolved_tag, outcome)
         done.append(outcome)
 
     if deferred:
-        raise SweepInterrupted(executed=ctx.executed, remaining=deferred)
+        raise SweepInterrupted(executed=pool.executed, remaining=deferred)
     return done
 
 
 def _run_serial(
     fn, specs, todo, collect_obs, ctx, finish, fleet, drain_state,
-    outcomes, parent_session,
+    outcomes, collector,
 ) -> None:
     """In-process execution: index order, cache-hit replays interleaved.
 
@@ -1064,8 +979,8 @@ def _run_serial(
     for spec in specs:
         outcome = outcomes[spec.index]
         if outcome is not None:
-            if parent_session is not None:
-                parent_session.absorb(outcome.records)
+            if collector is not None:
+                collector.absorb(outcome.records)
             continue
         if spec.index not in todo_set:
             continue
@@ -1083,6 +998,9 @@ def _run_serial(
                     fn, spec, collect_obs
                 )
             except Exception:
+                # Any point failure is a failed attempt (retried, then
+                # quarantined or fatal per the config), exactly as a
+                # worker's traceback is in the parallel path.
                 err = traceback.format_exc()
                 if attempt < config.retries:
                     if fleet is not None:

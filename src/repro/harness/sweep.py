@@ -8,8 +8,8 @@ deterministic per seed, so seed variation plays the role of the paper's
 multiple trials).
 
 Execution goes through :mod:`repro.harness.pool`: grid points can be
-dispatched to a work-stealing process pool (``parallel=N``) and/or
-persisted in a content-addressed result cache (``cache_dir=...``), with
+dispatched to a work-stealing process pool (``pool.parallel=N``) and/or
+persisted in a content-addressed result cache (``pool.cache_dir``), with
 results merged deterministically by grid index so the aggregated
 :class:`SweepResult` and metrics artifact do not depend on the
 schedule.
@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import HarnessError
+from repro.runconfig import RunConfig, RunContext
 from repro.util.stats import mean_std
 from repro.util.tables import render_table
 
@@ -142,18 +142,8 @@ def run_sweep(
     seeds: Sequence[int] = (0,),
     metric: str = "value",
     metrics_path=None,
-    flow=None,
-    timeline=None,
-    parallel: int = 1,
-    cache_dir: Optional[Path] = None,
-    fresh: bool = False,
     tag: Optional[str] = None,
-    max_executions: Optional[int] = None,
-    status: bool = False,
-    status_json: Optional[Path] = None,
-    retries: int = 0,
-    point_timeout_s: Optional[float] = None,
-    drain_signals: bool = False,
+    config: RunConfig = RunConfig(),
 ) -> SweepResult:
     """Evaluate ``fn(seed=..., **params)`` over the cartesian grid.
 
@@ -169,55 +159,23 @@ def run_sweep(
     seeds:
         Seeds to replicate each cell over (error bars).
     metrics_path:
-        Optional path: run the grid inside an
-        :class:`~repro.obs.config.ObsSession` and write the
+        Optional path: run the grid with observability on and write the
         schema-versioned JSON artifact there (per-run snapshots with
         stage breakdowns; see :mod:`repro.harness.artifact`).
-    flow:
-        Optional :class:`~repro.flow.FlowConfig` (or spec string for
-        :meth:`~repro.flow.FlowConfig.parse`): run every cell with
-        credit-based flow control active.
-    timeline:
-        Optional :class:`~repro.obs.TimelineConfig`: attach the
-        flight recorder to every run, embedding per-run ``timeline``
-        blocks in the artifact (implies an ObsSession even without
-        ``metrics_path``).
-    parallel:
-        Worker processes for the point executor; 1 (default) runs the
-        grid serially in-process. The aggregated result is identical
-        either way — only wall-clock changes.
-    cache_dir:
-        Content-addressed result cache directory. Previously completed
-        identical points are replayed for free, newly executed points
-        are persisted as they finish, so re-running an interrupted
-        sweep over the same directory resumes it. Poisoned points are
-        never cached; a re-run executes them again.
-    fresh:
-        Ignore existing cache entries (still writes fresh ones).
     tag:
-        Stable cache identity for ``fn``; required with ``cache_dir``
-        when ``fn`` is a lambda/closure/partial.
-    max_executions:
-        Execute at most this many points, then raise
-        :class:`~repro.harness.pool.SweepInterrupted` (cache hits are
-        free). Exists to exercise resumability.
-    status:
-        Render a live fleet-status line to stderr while points run.
-    status_json:
-        Rewrite this JSON file with live fleet status (queue depth,
-        hit rate, per-worker throughput, ETA) as points complete.
-    retries:
-        Extra attempts per point after a failure (seeded exponential
-        backoff between attempts). With retries on, a point that
-        fails every attempt is quarantined as a ``poisoned`` outcome
-        (``nan`` in its cell) instead of failing the sweep.
-    point_timeout_s:
-        Wall-clock budget per point in parallel runs; a worker stuck
-        past it is killed and the attempt counts as a failure.
-    drain_signals:
-        Handle SIGINT/SIGTERM as a graceful drain: finish in-flight
-        points (caching each), flush fleet status, then raise
-        :class:`~repro.harness.pool.SweepInterrupted`.
+        Stable cache identity for ``fn``; required with a cache
+        directory when ``fn`` is a lambda/closure/partial.
+    config:
+        The :class:`~repro.runconfig.RunConfig` the grid runs under:
+        its faults, flow and flight recorder apply to every point, and
+        ``config.pool`` sets worker processes, the result cache
+        (re-running an interrupted sweep over the same cache directory
+        resumes it; poisoned points are never cached), fleet status,
+        the point budget and signal draining. With ``pool.retries`` or
+        ``pool.point_timeout_s`` set, a point that fails every attempt
+        is quarantined as a ``poisoned`` outcome (``nan`` in its cell)
+        instead of failing the sweep. The aggregated result is the same
+        for every pool setting — only wall-clock changes.
 
     Examples
     --------
@@ -236,51 +194,20 @@ def run_sweep(
         for combo in itertools.product(*(axes[n] for n in names))
     ]
 
-    fcfg = None
-    if flow is not None:
-        from repro.flow import FlowConfig
+    from repro.harness.pool import map_points
 
-        fcfg = flow if isinstance(flow, FlowConfig) else FlowConfig.parse(flow)
-        if not fcfg.enabled:
-            fcfg = None
-
-    from contextlib import ExitStack
-
-    from repro.harness.pool import PoolConfig, map_points, pool_session
-
-    pcfg = PoolConfig(
-        parallel=parallel,
-        cache_dir=cache_dir,
-        cache_read=not fresh,
-        cache_write=True,
-        max_executions=max_executions,
-        status=status,
-        status_json=status_json,
-        retries=retries,
-        point_timeout_s=point_timeout_s,
+    pool = config.pool
+    if pool.retries or pool.point_timeout_s is not None:
         # Quarantine only when the caller opted into fault tolerance;
         # a plain sweep still fails fast on the first point error.
-        quarantine=bool(retries or point_timeout_s is not None),
-        drain_signals=drain_signals,
-    )
-
-    session = None
-    with ExitStack() as stack:
-        if fcfg is not None:
-            from repro.flow import FlowSession
-
-            stack.enter_context(FlowSession(fcfg))
-        if metrics_path is not None or timeline is not None:
-            from repro.obs import ObsConfig, ObsSession
-
-            session = stack.enter_context(
-                ObsSession(ObsConfig(timeline=timeline))
-            )
-        ctx = stack.enter_context(pool_session(pcfg))
+        config = config.replace(pool=replace(pool, quarantine=True))
+    if metrics_path is not None:
+        config = config.with_obs()
+    with RunContext(config) as ctx:
         outcomes = map_points(fn, combos, tag=tag, seeds=seeds)
 
     result = SweepResult(axes=dict(axes), metric=metric)
-    result.pool = ctx.provenance_payload()
+    result.pool = ctx.pool.provenance_payload()
     n_seeds = len(seeds)
     for ci, params in enumerate(combos):
         chunk = outcomes[ci * n_seeds : (ci + 1) * n_seeds]
@@ -299,19 +226,14 @@ def run_sweep(
     if metrics_path is None:
         return result
 
-    from dataclasses import asdict as _asdict
-
     from repro.harness.artifact import build_metrics_payload, write_metrics_json
 
     extra = {"axes": {n: list(axes[n]) for n in names}, "seeds": list(seeds)}
-    if fcfg is not None:
-        extra["flow"] = _asdict(fcfg)
-    if timeline is not None:
-        extra["timeline"] = _asdict(timeline)
+    extra.update(config.artifact_config())
     payload = build_metrics_payload(
         target=f"sweep:{metric}",
         profile="custom",
-        runs=session.records,
+        runs=ctx.records,
         sweep=result,
         extra_config=extra,
         provenance=result.pool,

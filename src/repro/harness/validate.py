@@ -15,6 +15,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 from repro.errors import HarnessError
 from repro.harness.experiment import FigureData
 from repro.harness.figures import FIGURES, run_figure
+from repro.runconfig import RunConfig
 from repro.util.tables import render_table
 
 Checker = Callable[[FigureData], Tuple[bool, str]]
@@ -183,48 +184,30 @@ CHECKERS: Dict[str, Checker] = {
 
 
 def validate_figure(
-    fig_id: str,
-    profile: str = "quick",
-    parallel: int = 1,
-    cache_dir=None,
-    retries: int = 0,
-    point_timeout_s=None,
+    fig_id: str, profile: str = "quick", config: RunConfig = RunConfig()
 ) -> CheckResult:
-    """Regenerate one figure and check its shape claim.
+    """Regenerate one figure under ``config`` and check its shape claim.
 
-    ``parallel``/``cache_dir`` configure the sweep pool for the
-    figure's grid points (identical data, less wall-clock);
-    ``retries``/``point_timeout_s`` make a long validation run survive
-    worker crashes and hangs (see :mod:`repro.harness.pool`).
+    ``config.pool`` can spread the figure's grid points over worker
+    processes or replay them from the result cache (identical data,
+    less wall-clock) and make a long validation run survive worker
+    crashes and hangs (see :mod:`repro.harness.pool`).
     """
     checker = CHECKERS.get(fig_id)
     if checker is None:
         raise HarnessError(f"no checker for {fig_id!r}")
-    data = run_figure(
-        fig_id, profile, parallel=parallel, cache_dir=cache_dir,
-        retries=retries, point_timeout_s=point_timeout_s,
-    )
-    passed, details = checker(data)
+    passed, details = checker(run_figure(fig_id, profile, config))
     return CheckResult(fig_id=fig_id, passed=passed, details=details)
 
 
 def validate_reproduction(
     profile: str = "quick",
     figures: Optional[Iterable[str]] = None,
-    parallel: int = 1,
-    cache_dir=None,
-    retries: int = 0,
-    point_timeout_s=None,
+    config: RunConfig = RunConfig(),
 ) -> List[CheckResult]:
     """Check the shape claims of the given figures (default: all)."""
     ids = list(figures) if figures is not None else list(FIGURES)
-    return [
-        validate_figure(
-            fig_id, profile, parallel=parallel, cache_dir=cache_dir,
-            retries=retries, point_timeout_s=point_timeout_s,
-        )
-        for fig_id in ids
-    ]
+    return [validate_figure(fig_id, profile, config) for fig_id in ids]
 
 
 def render_results(results: List[CheckResult]) -> str:

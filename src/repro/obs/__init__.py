@@ -7,12 +7,13 @@ Three layers:
   :class:`StageLatency` log2 histograms (where do the nanoseconds go);
 * :mod:`repro.obs.registry` — :class:`MetricsRegistry`, one named/typed
   namespace over every component counter;
-* :mod:`repro.obs.config` — the :class:`ObsConfig` gate and
-  :class:`ObsSession`, the harness hook that snapshots each run for the
-  ``--metrics-out`` JSON artifact.
+* :mod:`repro.obs.config` — the :class:`ObsConfig` gate; set as the
+  ``obs`` field of a :class:`~repro.runconfig.RunConfig`, it makes the
+  entered context snapshot each run for the ``--metrics-out`` JSON
+  artifact.
 
 Everything is off unless a runtime is built with an enabled
-:class:`ObsConfig` (directly or via an active :class:`ObsSession`); the
+:class:`ObsConfig` (directly or via the active run config); the
 disabled path costs one ``is None`` check per message hop.
 
 ``run_snapshot`` is exposed lazily (it reaches up into the harness
@@ -20,7 +21,7 @@ layer for utilization, which must not be imported from here at runtime
 construction time).
 """
 
-from repro.obs.config import ObsConfig, ObsSession, active_session
+from repro.obs.config import ObsConfig
 from repro.obs.hist import Log2Histogram
 from repro.obs.registry import Metric, MetricsRegistry, registry_from_runtime
 from repro.obs.spans import LATENCY_STAGES, STAGES, MsgSpan, StageLatency
@@ -33,13 +34,11 @@ __all__ = [
     "MetricsRegistry",
     "MsgSpan",
     "ObsConfig",
-    "ObsSession",
     "STAGES",
     "StageLatency",
     "TIMELINE_SCHEMA",
     "TimelineConfig",
     "TimelineRecorder",
-    "active_session",
     "registry_from_runtime",
     "run_snapshot",
 ]

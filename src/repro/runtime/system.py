@@ -20,27 +20,29 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.errors import ConfigError, DeliveryError
-from repro.faults.context import active_fault_session
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.flow.config import FlowConfig
-from repro.flow.context import active_flow_session
 from repro.flow.controller import FlowController
 from repro.machine.costs import CostModel
 from repro.machine.topology import MachineConfig
 from repro.network.fabric import Fabric
 from repro.network.nic import Nic
-from repro.obs.config import ObsConfig, active_session
+from repro.obs.config import ObsConfig
 from repro.obs.timeline import TimelineRecorder
 from repro.runtime.commthread import CommThread
 from repro.runtime.node import Node
 from repro.runtime.proc import Process
 from repro.runtime.reliability import ReliabilityConfig, ReliableDelivery
 from repro.runtime.transport import Transport
+from repro.runconfig import RunConfig, active
 from repro.runtime.worker import Worker
 from repro.sim.engine import Engine, RunStats
 from repro.sim.rng import RngStreams
 from repro.sim.trace import Tracer
+
+#: Stands in for the active config outside any RunContext.
+_NO_CONFIG = RunConfig()
 
 
 class RuntimeSystem:
@@ -58,25 +60,27 @@ class RuntimeSystem:
         Optional tracer threaded into the engine.
     obs:
         Optional :class:`~repro.obs.config.ObsConfig` enabling
-        stage-attributed latency spans. Defaults to the config of the
-        active :class:`~repro.obs.config.ObsSession`, if any; otherwise
-        instrumentation is off.
+        stage-attributed latency spans; otherwise instrumentation is
+        off. Runs report a snapshot to the active
+        :class:`~repro.runconfig.RunContext` when its config has obs set.
     faults:
-        Optional :class:`~repro.faults.FaultPlan`. Defaults to the plan
-        of the active :class:`~repro.faults.FaultSession`, if any; with
-        neither (or a no-op plan) the transport is fault-free and pays
-        one ``is None`` check per hop.
+        Optional :class:`~repro.faults.FaultPlan`; with none (or a
+        no-op plan) the transport is fault-free and pays one ``is None``
+        check per hop.
     reliability:
         Optional :class:`~repro.runtime.reliability.ReliabilityConfig`
-        enabling the ack/retransmit layer. Defaults to the active fault
-        session's config (enabled under a session, so faulty runs still
-        deliver exactly once); ``None`` otherwise.
+        enabling the ack/retransmit layer.
     flow:
         Optional :class:`~repro.flow.FlowConfig` enabling credit-based
-        flow control and overload protection. Defaults to the config of
-        the active :class:`~repro.flow.FlowSession`, if any; with
-        neither (or a disabled config) the pipeline is unbounded and
-        pays one ``is None`` check per message.
+        flow control and overload protection; with none (or a disabled
+        config) the pipeline is unbounded and pays one ``is None``
+        check per message.
+
+    Each of ``obs``/``faults``/``reliability``/``flow`` left ``None``
+    defaults to the field of the active
+    :class:`~repro.runconfig.RunConfig`, if any (under a
+    :class:`~repro.faults.FaultSession` reliability is on, so faulty
+    runs still deliver exactly once).
     """
 
     def __init__(
@@ -90,13 +94,17 @@ class RuntimeSystem:
         reliability: Optional[ReliabilityConfig] = None,
         flow: Optional[FlowConfig] = None,
     ) -> None:
-        session = active_session()
-        if obs is None and session is not None:
-            obs = session.config
+        ctx = active()
+        ambient = ctx.config if ctx is not None else _NO_CONFIG
+        if obs is None:
+            obs = ambient.obs
         self.obs = obs
         #: Whether schemes should attach spans / stage histograms.
         self.obs_enabled = obs is not None and obs.enabled
-        self._obs_session = session if self.obs_enabled else None
+        #: The context collecting this runtime's snapshots, if any.
+        self._run_ctx = (
+            ctx if self.obs_enabled and ambient.obs is not None else None
+        )
         #: Scheme instances attached to this runtime (self-registered by
         #: SchemeBase; drives per-scheme metrics and snapshots).
         self.schemes: List[Any] = []
@@ -115,10 +123,7 @@ class RuntimeSystem:
         self.transport = Transport(self)
         self._handlers: Dict[str, Callable] = {}
 
-        fault_session = active_fault_session()
-        plan = faults
-        if plan is None and fault_session is not None:
-            plan = fault_session.plan
+        plan = faults if faults is not None else ambient.faults
         if plan is not None and plan.is_noop():
             plan = None
         #: Fault injector, or ``None`` (the default, zero-cost case).
@@ -133,8 +138,8 @@ class RuntimeSystem:
         #: currently-dead process ids otherwise.
         self.dead_procs: Optional[set] = None
         rel_cfg = reliability
-        if rel_cfg is None and fault_session is not None:
-            rel_cfg = fault_session.reliability
+        if rel_cfg is None:
+            rel_cfg = ambient.reliability
         #: Reliable-delivery layer, or ``None`` (the default).
         self.reliable: Optional[ReliableDelivery] = (
             ReliableDelivery(self, rel_cfg)
@@ -159,10 +164,7 @@ class RuntimeSystem:
                 ct.on_outbound_done = self.transport.after_commthread_out
                 proc.commthread = ct
 
-        flow_session = active_flow_session()
-        flow_cfg = flow
-        if flow_cfg is None and flow_session is not None:
-            flow_cfg = flow_session.config
+        flow_cfg = flow if flow is not None else ambient.flow
         if flow_cfg is not None and not flow_cfg.enabled:
             flow_cfg = None
         #: Flow controller, or ``None`` (the default, zero-cost case).
@@ -366,8 +368,8 @@ class RuntimeSystem:
     ) -> RunStats:
         """Run the engine (to quiescence by default)."""
         stats = self.engine.run(until=until, max_events=max_events)
-        if self._obs_session is not None:
-            self._obs_session.update(self, stats)
+        if self._run_ctx is not None:
+            self._run_ctx.update(self, stats)
         return stats
 
     @property

@@ -3,12 +3,13 @@
 import pytest
 
 from repro.errors import ConfigError, FlowControlError
-from repro.flow import (
-    FlowConfig,
-    FlowSession,
-    active_flow_config,
-    active_flow_session,
-)
+from repro.flow import FlowConfig, FlowSession
+from repro.runconfig import active
+
+
+def _active_flow():
+    ctx = active()
+    return ctx.config.flow if ctx is not None else None
 
 
 class TestValidation:
@@ -79,20 +80,20 @@ class TestParse:
 
 class TestSession:
     def test_session_sets_and_restores(self):
-        assert active_flow_session() is None
+        assert active() is None
         cfg = FlowConfig(ct_max_msgs=3)
         with FlowSession(cfg) as session:
-            assert active_flow_session() is session
-            assert active_flow_config() == cfg
-        assert active_flow_session() is None
-        assert active_flow_config() is None
+            assert active() is session
+            assert _active_flow() == cfg
+        assert active() is None
+        assert _active_flow() is None
 
     def test_sessions_nest(self):
         outer, inner = FlowConfig(ct_max_msgs=3), FlowConfig(ct_max_msgs=5)
         with FlowSession(outer):
             with FlowSession(inner):
-                assert active_flow_config() == inner
-            assert active_flow_config() == outer
+                assert _active_flow() == inner
+            assert _active_flow() == outer
 
     def test_runtime_picks_up_session(self):
         from repro.machine import MachineConfig

@@ -9,6 +9,7 @@ from repro.machine import MachineConfig
 from repro.obs import ObsConfig
 from repro.obs.registry import registry_from_runtime
 from repro.obs.snapshot import run_snapshot
+from repro.runconfig import RunConfig, active
 from repro.runtime.system import RuntimeSystem
 from repro.tram import TramConfig, make_scheme
 
@@ -132,8 +133,8 @@ class TestRunFigure:
         from repro.harness.figures import run_figure
 
         out = tmp_path / "fig3.json"
-        run_figure("fig3", "quick", metrics_path=out,
-                   flow="ct_msgs=4,ct_bytes=8192")
+        run_figure("fig3", "quick", RunConfig(flow="ct_msgs=4,ct_bytes=8192"),
+                   metrics_path=out)
         payload = json.loads(out.read_text())
         assert validate_metrics_payload(payload) == []
         assert payload["config"]["flow"]["ct_max_msgs"] == 4
@@ -145,7 +146,9 @@ class TestRunFigure:
     def test_disabled_spec_is_fast_path(self):
         from repro.harness.figures import run_figure
 
-        data = run_figure("fig3", "quick", flow=FlowConfig(enabled=False))
+        config = RunConfig(flow=FlowConfig(enabled=False))
+        assert config == RunConfig()
+        data = run_figure("fig3", "quick", config)
         assert data.fig_id == "fig3"
 
 
@@ -169,11 +172,9 @@ class TestSweep:
         calls = []
 
         def fn(x, seed):
-            from repro.flow import active_flow_config
-
-            calls.append(active_flow_config())
+            calls.append(active().config.flow)
             return float(x)
 
-        res = run_sweep(fn, {"x": [1, 2]}, flow="ct_msgs=3")
+        res = run_sweep(fn, {"x": [1, 2]}, config=RunConfig(flow="ct_msgs=3"))
         assert [c.mean for c in res.cells] == [1.0, 2.0]
         assert all(c is not None and c.ct_max_msgs == 3 for c in calls)

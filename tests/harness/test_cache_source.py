@@ -1,10 +1,13 @@
-"""The result cache is keyed on the simulator source.
+"""The result cache is keyed on the simulator source and the run config.
 
 A cached point must never outlive an edit to the code that computed it:
 ``point_key`` folds in a fingerprint of the simulation packages,
-computed lazily once per process.
+computed lazily once per process. Nor may it answer for a run config
+that computes something else: every result-determining field of the
+active :class:`~repro.runconfig.RunConfig` is part of the key.
 """
 
+import functools
 import json
 import os
 import shutil
@@ -12,8 +15,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+from repro.faults import FaultPlan, FaultSession
 from repro.harness import cache as cache_mod
 from repro.harness.cache import point_key, source_fingerprint
+from repro.harness.pool import map_points, run_app_point
+from repro.runconfig import PoolConfig, RunConfig, RunContext
 
 _SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -101,3 +107,28 @@ class TestStaleCacheAfterCodeEdit:
         hits, edited_value = _hits_and_value(edited)
         assert hits == 0
         assert edited_value > cold_value
+
+
+class TestReliabilityKeyed:
+    """Reorder faults on a 2x2x2 WW histogram: the reliable-delivery
+    layer's acks and resequencing change the answer, so a point computed
+    with reliability on must never be served to a run without it."""
+
+    POINT = {"nodes": 2, "ppn": 2, "wpp": 2, "scheme": "WW",
+             "updates_per_pe": 256}
+    HISTO = functools.partial(run_app_point, "histogram", "total_time_ns")
+    PLAN = FaultPlan.parse("reorder=0.2")
+
+    def test_reliability_off_misses_reliability_on_entry(self, tmp_path):
+        cached = RunConfig(pool=PoolConfig(cache_dir=tmp_path))
+        with RunContext(cached):
+            with FaultSession(self.PLAN):
+                (on,) = map_points(self.HISTO, [self.POINT], tag="rel-leak")
+            with FaultSession(self.PLAN, reliability=None):
+                (off,) = map_points(self.HISTO, [self.POINT], tag="rel-leak")
+        with FaultSession(self.PLAN, reliability=None):
+            uncached = self.HISTO(seed=0, **self.POINT)
+        assert on.cache_hit is False
+        assert off.cache_hit is False
+        assert off.value == uncached
+        assert off.value != on.value

@@ -6,6 +6,7 @@ import json
 from repro.harness.fleet import STATUS_SCHEMA, FleetStatus, make_fleet_status
 from repro.harness.pool import PoolConfig
 from repro.harness.sweep import run_sweep
+from repro.runconfig import RunConfig
 
 
 class TestAccounting:
@@ -133,8 +134,8 @@ def _square(x, seed):
 class TestSweepIntegration:
     def test_serial_sweep_writes_complete_status(self, tmp_path):
         path = tmp_path / "status.json"
-        run_sweep(_square, {"x": [1, 2, 3]}, seeds=(0, 1),
-                  status_json=path, tag="fleet-int")
+        run_sweep(_square, {"x": [1, 2, 3]}, seeds=(0, 1), tag="fleet-int",
+                  config=RunConfig(pool=PoolConfig(status_json=path)))
         doc = json.loads(path.read_text())
         assert doc["schema"] == STATUS_SCHEMA
         assert doc["points_done"] == doc["points_total"] == 6
@@ -143,8 +144,10 @@ class TestSweepIntegration:
 
     def test_parallel_sweep_reports_worker_fleet(self, tmp_path):
         path = tmp_path / "status.json"
-        run_sweep(_square, {"x": [1, 2, 3, 4]}, seeds=(0, 1),
-                  parallel=2, status_json=path, tag="fleet-int")
+        run_sweep(
+            _square, {"x": [1, 2, 3, 4]}, seeds=(0, 1), tag="fleet-int",
+            config=RunConfig(pool=PoolConfig(parallel=2, status_json=path)),
+        )
         doc = json.loads(path.read_text())
         assert doc["points_done"] == 8
         assert doc["executed"] == 8
@@ -154,8 +157,10 @@ class TestSweepIntegration:
 
     def test_status_does_not_perturb_results(self, tmp_path):
         quiet = run_sweep(_square, {"x": [1, 2]}, seeds=(0,), tag="fleet-int")
-        loud = run_sweep(_square, {"x": [1, 2]}, seeds=(0,),
-                         status_json=tmp_path / "s.json", tag="fleet-int")
+        loud = run_sweep(
+            _square, {"x": [1, 2]}, seeds=(0,), tag="fleet-int",
+            config=RunConfig(pool=PoolConfig(status_json=tmp_path / "s.json")),
+        )
         assert [c.values for c in quiet.cells] == [
             c.values for c in loud.cells
         ]

@@ -1,10 +1,16 @@
 """Tests for the experiment harness and CLI (quick profile)."""
 
+import dataclasses
+import json
+
 import pytest
 
 from repro.errors import HarnessError
+from repro.faults import FaultPlan, FaultSession
 from repro.harness import FIGURES, FigureData, Series, run_figure
+from repro.harness.artifact import validate_metrics_payload
 from repro.harness.cli import main
+from repro.harness.pool import run_app_point
 
 
 class TestFigureData:
@@ -122,6 +128,82 @@ class TestCli:
 
     def test_unknown_target(self, capsys):
         assert main(["fig99"]) == 2
+
+
+class TestCliRunConfig:
+    """The CLI builds one RunConfig and every run target honours it;
+    a flag a target cannot honour is an error, never dropped."""
+
+    SWEEP = [
+        "sweep", "--app", "histogram", "--axes", "nodes=2;scheme=WW",
+        "--fixed", "updates_per_pe=200,buffer_items=16,batch=100",
+        "--no-cache",
+    ]
+    POINT = dict(nodes=2, scheme="WW", updates_per_pe=200, buffer_items=16,
+                 batch=100)
+
+    def _sweep_value(self, tmp_path, *extra):
+        path = tmp_path / "sweep.json"
+        assert main(self.SWEEP + ["--metrics-out", str(path), *extra]) == 0
+        payload = json.loads(path.read_text())
+        assert validate_metrics_payload(payload) == []
+        return payload["sweep"]["cells"][0]["mean"], payload["config"]
+
+    def test_sweep_runs_under_faults(self, tmp_path, capsys):
+        value, config = self._sweep_value(tmp_path, "--faults", "drop=0.05")
+        plan = FaultPlan.parse("drop=0.05")
+        with FaultSession(plan):
+            faulty = run_app_point("histogram", "total_time_ns", **self.POINT)
+        clean = run_app_point("histogram", "total_time_ns", **self.POINT)
+        assert value == faulty
+        assert value != clean
+        assert config["faults"] == json.loads(
+            json.dumps(dataclasses.asdict(plan))
+        )
+
+    def test_clean_sweep_config_has_no_faults(self, tmp_path, capsys):
+        _, config = self._sweep_value(tmp_path)
+        assert "faults" not in config
+
+    def test_validate_takes_the_whole_config(self, monkeypatch, tmp_path,
+                                             capsys):
+        import repro.harness.validate as validate_mod
+
+        seen = {}
+
+        def fake(profile, config):
+            seen["config"] = config
+            return []
+
+        monkeypatch.setattr(validate_mod, "validate_reproduction", fake)
+        rc = main([
+            "validate", "--profile", "quick", "--fresh",
+            "--cache-dir", str(tmp_path), "--faults", "drop=0.01",
+            "--flow", "ct_msgs=8", "--timeline", "--status",
+            "--status-json", str(tmp_path / "s.json"),
+        ])
+        assert rc == 0
+        config = seen["config"]
+        assert config.pool.cache_read is False  # --fresh skips the cache
+        assert config.pool.cache_dir == tmp_path
+        assert config.faults == FaultPlan.parse("drop=0.01")
+        assert config.flow.ct_max_msgs == 8
+        assert config.timeline is not None
+        assert config.pool.status is True
+        assert config.pool.status_json == tmp_path / "s.json"
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["validate", "--metrics-out", "m.json"], "--metrics-out"),
+        (["report", "--faults", "drop=0.1"], "--faults"),
+        (["fig1", "--max-points", "3"], "--max-points"),
+        (["sweep", "--axes", "x=1", "--profile", "quick"], "--profile"),
+        (["list", "--parallel", "2"], "--parallel"),
+        (["validate-metrics", "m.json", "--flow", "ct_msgs=8"], "--flow"),
+    ])
+    def test_unhonoured_flag_exits_2(self, argv, flag, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "does not take" in err and flag in err
 
 
 class TestReport:

@@ -13,6 +13,8 @@ from pathlib import Path
 import pytest
 
 from repro.errors import HarnessError
+from repro.faults import FaultPlan
+from repro.flow import FlowConfig
 from repro.harness import cli
 from repro.harness.artifact import (
     canonical_metrics_bytes,
@@ -24,10 +26,22 @@ from repro.harness.pool import (
     SweepInterrupted,
     _scramble_ambient_rng,
     map_points,
-    pool_session,
     run_app_point,
 )
 from repro.harness.sweep import run_sweep
+from repro.obs import ObsConfig, TimelineConfig
+from repro.runconfig import RunConfig, RunContext
+from repro.runtime import ReliabilityConfig
+
+
+def _pool_context(config=PoolConfig()):
+    """A run context executing points as ``config`` says."""
+    return RunContext(RunConfig(pool=config))
+
+
+def pooled(**pool):
+    """A clean run config with the given pool settings."""
+    return RunConfig(pool=PoolConfig(**pool))
 
 # ----------------------------------------------------------------------
 # Module-level point functions (stable tags; visible to forked workers)
@@ -41,6 +55,11 @@ def _square(seed, *, x):
 
 
 def _boom(seed, *, x):
+    raise ValueError(f"point {x} exploded")
+
+
+def _counted_boom(seed, *, x):
+    _CALLS.append((x, seed))
     raise ValueError(f"point {x} exploded")
 
 
@@ -119,6 +138,26 @@ _AXES = {"nodes": [1], "scheme": ["WW", "WPs"]}
 # ----------------------------------------------------------------------
 # Content-addressed keys
 # ----------------------------------------------------------------------
+#: A non-default value for each RunConfig field that decides results
+#: ("obs" stands for its timeline recorder).
+_RESULT_FIELDS = {
+    "faults": FaultPlan.parse("drop=0.01"),
+    "reliability": ReliabilityConfig(),
+    "flow": FlowConfig.parse("ct_msgs=8"),
+    "obs": ObsConfig(timeline=TimelineConfig()),
+}
+
+#: A non-default value for every PoolConfig field.
+_POOL_FIELDS = {
+    "parallel": 4, "cache_dir": Path("cache"), "cache_read": False,
+    "cache_write": False, "max_executions": 3, "status": True,
+    "status_json": Path("status.json"), "status_interval_s": 2.0,
+    "retries": 2, "point_timeout_s": 1.0, "backoff_base_s": 0.5,
+    "backoff_max_s": 5.0, "max_restarts": 1, "quarantine": True,
+    "drain_signals": True,
+}
+
+
 class TestPointKey:
     def test_stable(self):
         a = point_key(tag="t", params={"x": 1}, seed=0)
@@ -142,7 +181,8 @@ class TestPointKey:
 
         clean = point_key(tag="t", params={}, seed=0)
         faulty = point_key(
-            tag="t", params={}, seed=0, faults=FaultPlan.parse("drop=0.01"),
+            tag="t", params={}, seed=0,
+            run=RunConfig(faults=FaultPlan.parse("drop=0.01")).key_payload(),
         )
         assert clean != faulty
 
@@ -151,9 +191,35 @@ class TestPointKey:
 
         clean = point_key(tag="t", params={}, seed=0)
         flowed = point_key(
-            tag="t", params={}, seed=0, flow=FlowConfig.parse("ct_msgs=8"),
+            tag="t", params={}, seed=0,
+            run=RunConfig(flow=FlowConfig.parse("ct_msgs=8")).key_payload(),
         )
         assert clean != flowed
+
+    @pytest.mark.parametrize("field", list(_RESULT_FIELDS))
+    def test_result_determining_field_changes_key(self, field):
+        """Each result-determining RunConfig field, alone, moves the key."""
+        clean = point_key(tag="t", params={}, seed=0,
+                          run=RunConfig().key_payload())
+        fields = {"reliability": None, field: _RESULT_FIELDS[field]}
+        changed = RunConfig(**fields)
+        assert point_key(
+            tag="t", params={}, seed=0, run=changed.key_payload()
+        ) != clean
+
+    @pytest.mark.parametrize("field", sorted(_POOL_FIELDS))
+    def test_pool_field_leaves_key_alone(self, field):
+        """How points execute never changes what they compute."""
+        base = RunConfig(faults="drop=0.01")
+        changed = base.replace(pool=PoolConfig(**{field: _POOL_FIELDS[field]}))
+        assert changed.key_payload() == base.key_payload()
+
+    def test_pool_field_cases_cover_pool_config(self):
+        assert set(_POOL_FIELDS) == set(PoolConfig.__dataclass_fields__)
+
+    @pytest.mark.parametrize("obs", [ObsConfig(), ObsConfig(enabled=False)])
+    def test_obs_flag_leaves_key_alone(self, obs):
+        assert RunConfig(obs=obs).key_payload() == RunConfig().key_payload()
 
     def test_cost_model_folds_in(self):
         from repro.machine.costs import CostModel
@@ -261,38 +327,38 @@ class TestMapPointsSerial:
         assert outcomes[0].value == 7.0
 
     def test_lambda_with_cache_needs_tag(self, tmp_path):
-        with pool_session(PoolConfig(cache_dir=tmp_path)):
+        with _pool_context(PoolConfig(cache_dir=tmp_path)):
             with pytest.raises(HarnessError, match="stable point tag"):
                 map_points(lambda seed, x: float(x), [{"x": 1}])
 
     def test_cache_hit_skips_execution(self, tmp_path):
         grid = [{"x": 3}, {"x": 4}]
         _CALLS.clear()
-        with pool_session(PoolConfig(cache_dir=tmp_path)):
+        with _pool_context(PoolConfig(cache_dir=tmp_path)):
             cold = map_points(_square, grid)
         assert len(_CALLS) == 2
-        with pool_session(PoolConfig(cache_dir=tmp_path)) as ctx:
+        with _pool_context(PoolConfig(cache_dir=tmp_path)) as ctx:
             warm = map_points(_square, grid)
-            assert ctx.cache_hits == 2 and ctx.executed == 0
+            assert ctx.pool.cache_hits == 2 and ctx.pool.executed == 0
         assert len(_CALLS) == 2  # nothing re-ran
         assert [o.value for o in warm] == [o.value for o in cold]
         assert all(o.cache_hit for o in warm)
 
     def test_fresh_ignores_cache_but_rewrites(self, tmp_path):
         grid = [{"x": 5}]
-        with pool_session(PoolConfig(cache_dir=tmp_path)):
+        with _pool_context(PoolConfig(cache_dir=tmp_path)):
             map_points(_square, grid)
         _CALLS.clear()
-        with pool_session(
+        with _pool_context(
             PoolConfig(cache_dir=tmp_path, cache_read=False)
         ) as ctx:
             map_points(_square, grid)
-            assert ctx.executed == 1 and ctx.cache_hits == 0
+            assert ctx.pool.executed == 1 and ctx.pool.cache_hits == 0
         assert len(_CALLS) == 1
 
     def test_budget_interrupts_then_resumes(self, tmp_path):
         grid = [{"x": i} for i in range(4)]
-        with pool_session(
+        with _pool_context(
             PoolConfig(cache_dir=tmp_path, max_executions=2)
         ):
             with pytest.raises(SweepInterrupted) as exc:
@@ -300,9 +366,9 @@ class TestMapPointsSerial:
         assert exc.value.executed == 2
         assert exc.value.remaining == 2
         assert len(ResultCache(tmp_path)) == 2  # finished points persisted
-        with pool_session(PoolConfig(cache_dir=tmp_path)) as ctx:
+        with _pool_context(PoolConfig(cache_dir=tmp_path)) as ctx:
             outcomes = map_points(_square, grid)
-            assert ctx.cache_hits == 2 and ctx.executed == 2
+            assert ctx.pool.cache_hits == 2 and ctx.pool.executed == 2
         assert [o.value for o in outcomes] == [0.0, 1.0, 4.0, 9.0]
 
     def test_earlier_points_garbage_collected_first(self):
@@ -317,9 +383,9 @@ class TestMapPointsSerial:
         assert [o.value for o in outcomes] == [0.0, 1.0, 2.0]
 
     def test_provenance_recorded(self):
-        with pool_session() as ctx:
+        with _pool_context() as ctx:
             map_points(_square, [{"x": 1}], seeds=(0, 1))
-            payload = ctx.provenance_payload()
+            payload = ctx.pool.provenance_payload()
         assert [p["index"] for p in payload["points"]] == [0, 1]
         assert payload["summary"]["n_points"] == 2
         assert payload["summary"]["executed"] == 2
@@ -330,15 +396,15 @@ class TestMapPointsParallel:
     def test_matches_serial(self):
         grid = [{"x": i} for i in range(6)]
         serial = map_points(_square, grid, seeds=(0, 1))
-        with pool_session(PoolConfig(parallel=3)) as ctx:
+        with _pool_context(PoolConfig(parallel=3)) as ctx:
             par = map_points(_square, grid, seeds=(0, 1))
-            workers = {p["worker"] for p in ctx.provenance}
+            workers = {p["worker"] for p in ctx.pool.provenance}
         assert [o.value for o in par] == [o.value for o in serial]
         assert [o.spec.index for o in par] == list(range(12))
         assert workers <= {1, 2, 3} and workers  # pool workers, not parent
 
     def test_worker_error_propagates(self):
-        with pool_session(PoolConfig(parallel=2)):
+        with _pool_context(PoolConfig(parallel=2)):
             with pytest.raises(HarnessError, match="exploded"):
                 map_points(_boom, [{"x": 0}, {"x": 1}])
 
@@ -347,18 +413,18 @@ class TestMapPointsParallel:
         tests: serial (token 0) and workers (tokens 1..N) scramble the
         ambient RNGs differently on purpose."""
         serial = map_points(_ambient, [{"x": 0}])
-        with pool_session(PoolConfig(parallel=2)):
+        with _pool_context(PoolConfig(parallel=2)):
             par = map_points(_ambient, [{"x": 0}, {"x": 1}])
         assert par[0].value != serial[0].value
 
     def test_parallel_populates_shared_cache(self, tmp_path):
         grid = [{"x": i} for i in range(4)]
-        with pool_session(PoolConfig(parallel=2, cache_dir=tmp_path)):
+        with _pool_context(PoolConfig(parallel=2, cache_dir=tmp_path)):
             map_points(_square, grid)
         assert len(ResultCache(tmp_path)) == 4
-        with pool_session(PoolConfig(cache_dir=tmp_path)) as ctx:
+        with _pool_context(PoolConfig(cache_dir=tmp_path)) as ctx:
             map_points(_square, grid)
-            assert ctx.cache_hits == 4 and ctx.executed == 0
+            assert ctx.pool.cache_hits == 4 and ctx.pool.executed == 0
 
 
 class TestScramble:
@@ -389,7 +455,8 @@ class TestSweepDeterminism:
         p8 = tmp_path / "par8.json"
         r1 = run_sweep(_HISTO, _AXES, metrics_path=p1, **{
             k: v for k, v in kw.items() if k != "metrics_path"})
-        r8 = run_sweep(_HISTO, _AXES, metrics_path=p8, parallel=8, **{
+        r8 = run_sweep(_HISTO, _AXES, metrics_path=p8,
+                       config=pooled(parallel=8), **{
             k: v for k, v in kw.items() if k != "metrics_path"})
         assert [c.values for c in r8.cells] == [c.values for c in r1.cells]
         a = json.loads(p1.read_text())
@@ -406,9 +473,9 @@ class TestSweepDeterminism:
         cold_p = tmp_path / "cold.json"
         warm_p = tmp_path / "warm.json"
         run_sweep(_HISTO, _AXES, seeds=(0,), tag=_HISTO_TAG,
-                  cache_dir=cache, metrics_path=cold_p)
+                  config=pooled(cache_dir=cache), metrics_path=cold_p)
         warm = run_sweep(_HISTO, _AXES, seeds=(0,), tag=_HISTO_TAG,
-                         cache_dir=cache, metrics_path=warm_p)
+                         config=pooled(cache_dir=cache), metrics_path=warm_p)
         assert warm.total_cache_hits == warm.total_points == 2
         a = json.loads(cold_p.read_text())
         b = json.loads(warm_p.read_text())
@@ -421,11 +488,11 @@ class TestSweepDeterminism:
         cache = tmp_path / "cache"
         run_sweep(_HISTO, _AXES, tag=_HISTO_TAG, metrics_path=ref_p)
         with pytest.raises(SweepInterrupted) as exc:
-            run_sweep(_HISTO, _AXES, tag=_HISTO_TAG, cache_dir=cache,
-                      max_executions=1)
+            run_sweep(_HISTO, _AXES, tag=_HISTO_TAG,
+                      config=pooled(cache_dir=cache, max_executions=1))
         assert exc.value.executed == 1 and exc.value.remaining == 1
-        resumed = run_sweep(_HISTO, _AXES, tag=_HISTO_TAG, cache_dir=cache,
-                            metrics_path=res_p)
+        resumed = run_sweep(_HISTO, _AXES, tag=_HISTO_TAG,
+                            config=pooled(cache_dir=cache), metrics_path=res_p)
         assert resumed.total_cache_hits == 1  # only the missing point ran
         ref = json.loads(ref_p.read_text())
         res = json.loads(res_p.read_text())
@@ -590,44 +657,44 @@ class TestSupervision:
         return PoolConfig(**base)
 
     def test_sigkilled_worker_is_replaced(self, faildir):
-        with pool_session(self._config()) as ctx:
+        with _pool_context(self._config()) as ctx:
             outcomes = map_points(_kamikaze, self.GRID)
         assert [o.value for o in outcomes] == [float(i * i) for i in range(8)]
-        assert ctx.worker_restarts >= 1
-        assert ctx.poisoned == 0
+        assert ctx.pool.worker_restarts >= 1
+        assert ctx.pool.poisoned == 0
         assert (faildir / "kamikaze").exists()  # the kill really happened
 
     def test_hung_worker_is_killed_and_point_retried(self, faildir):
-        with pool_session(
+        with _pool_context(
             self._config(point_timeout_s=2.0)
         ) as ctx:
             outcomes = map_points(_sleeper, self.GRID)
         assert [o.value for o in outcomes] == [float(i * i) for i in range(8)]
-        assert ctx.worker_restarts >= 1
+        assert ctx.pool.worker_restarts >= 1
         hung = outcomes[1]
         assert hung.retries >= 1  # the timed-out attempt was charged
 
     def test_transient_failures_retried_parallel(self, faildir):
-        with pool_session(self._config()) as ctx:
+        with _pool_context(self._config()) as ctx:
             outcomes = map_points(_flaky, self.GRID)
         assert [o.value for o in outcomes] == [float(i * i) for i in range(8)]
-        assert ctx.poisoned == 0
-        assert ctx.retried_ok == 8  # every point failed exactly once
-        assert ctx.retry_attempts == 8
+        assert ctx.pool.poisoned == 0
+        assert ctx.pool.retried_ok == 8  # every point failed exactly once
+        assert ctx.pool.retry_attempts == 8
 
     def test_transient_failures_retried_serial(self, faildir):
-        with pool_session(self._config(parallel=1)) as ctx:
+        with _pool_context(self._config(parallel=1)) as ctx:
             outcomes = map_points(_flaky, self.GRID)
         assert [o.value for o in outcomes] == [float(i * i) for i in range(8)]
-        assert ctx.retried_ok == 8
+        assert ctx.pool.retried_ok == 8
 
     def test_exhausted_point_poisoned_with_conservation(self):
         grid = [{"x": 0}, {"x": 1}, {"x": 2}]
         # Parallel path: every point exhausts its budget and quarantines.
-        with pool_session(self._config(retries=1)):
+        with _pool_context(self._config(retries=1)):
             par = map_points(_boom, grid[:2], tag="poison-par")
             assert [o.status for o in par] == ["poisoned", "poisoned"]
-        with pool_session(self._config(parallel=1, retries=1)) as ctx:
+        with _pool_context(self._config(parallel=1, retries=1)) as ctx:
             outcomes = map_points(
                 lambda seed, x: _boom(seed, x=x) if x == 1 else float(x),
                 grid,
@@ -637,7 +704,7 @@ class TestSupervision:
         assert poisoned.value is None
         assert "exploded" in poisoned.error
         assert poisoned.retries == 1
-        summary = ctx.provenance_payload()["summary"]
+        summary = ctx.pool.provenance_payload()["summary"]
         assert summary["n_points"] == 3
         assert summary["poisoned"] == 1
         assert (
@@ -646,7 +713,7 @@ class TestSupervision:
         )
 
     def test_poisoned_point_never_cached(self, tmp_path):
-        with pool_session(
+        with _pool_context(
             self._config(parallel=1, retries=1, cache_dir=tmp_path)
         ):
             map_points(_boom, [{"x": 5}])
@@ -658,25 +725,34 @@ class TestSupervision:
         cache = tmp_path / "cache"
         grid = [{"x": 3}]
         cfg = self._config(parallel=1, retries=0, cache_dir=cache)
-        with pool_session(cfg):
+        with _pool_context(cfg):
             first = map_points(_flaky, grid)
         assert first[0].status == "poisoned"
         assert len(ResultCache(cache)) == 0
-        with pool_session(cfg) as ctx:
+        with _pool_context(cfg) as ctx:
             second = map_points(_flaky, grid)
-            assert ctx.executed == 1 and ctx.poisoned == 0
+            assert ctx.pool.executed == 1 and ctx.pool.poisoned == 0
         assert second[0].status == "ok" and second[0].source == "exec"
         assert second[0].value == 9.0
         assert ResultCache(cache).get(second[0].spec.key)["value"] == 9.0
 
+    def test_without_quarantine_serial_failure_fatal_after_retries(self):
+        """The serial path retries a failing point, then fails fast."""
+        _CALLS.clear()
+        cfg = self._config(parallel=1, retries=1, quarantine=False)
+        with _pool_context(cfg):
+            with pytest.raises(HarnessError, match="exploded"):
+                map_points(_counted_boom, [{"x": 0}, {"x": 1}])
+        assert _CALLS == [(0, 0), (0, 0)]  # both attempts, then abort
+
     def test_without_quarantine_failure_still_fatal(self):
-        with pool_session(self._config(retries=1, quarantine=False)):
+        with _pool_context(self._config(retries=1, quarantine=False)):
             with pytest.raises(HarnessError, match="exploded"):
                 map_points(_boom, [{"x": 0}, {"x": 1}])
 
     def test_restart_cap_aborts(self, faildir):
         cfg = self._config(parallel=2, retries=5, max_restarts=0)
-        with pool_session(cfg):
+        with _pool_context(cfg):
             with pytest.raises(HarnessError, match="gave up"):
                 map_points(_kamikaze, self.GRID)
 
@@ -691,8 +767,8 @@ class TestSupervision:
         axes = {"x": list(range(8))}
         chaos = run_sweep(
             _chaos, axes, seeds=(0,), tag="chaos-inv",
-            metrics_path=chaos_p, parallel=3, retries=3,
-            point_timeout_s=2.0,
+            metrics_path=chaos_p,
+            config=pooled(parallel=3, retries=3, point_timeout_s=2.0),
         )
         monkeypatch.delenv(_FAILDIR_ENV)
         clean = run_sweep(
@@ -714,7 +790,7 @@ class TestSupervision:
         path = tmp_path / "poisoned.json"
         result = run_sweep(
             _boom, {"x": [0]}, seeds=(0,), tag="poison-artifact",
-            metrics_path=path, retries=1,
+            metrics_path=path, config=pooled(retries=1),
         )
         import math
 

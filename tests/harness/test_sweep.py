@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import HarnessError
 from repro.harness.sweep import run_sweep
+from repro.runconfig import PoolConfig, RunConfig
 
 
 class TestRunSweep:
@@ -57,7 +58,8 @@ class TestRunSweep:
             return float(a * 100 + seed)
 
         serial = run_sweep(fn, {"a": [1, 2, 3]}, seeds=[0, 1])
-        par = run_sweep(fn, {"a": [1, 2, 3]}, seeds=[0, 1], parallel=3)
+        par = run_sweep(fn, {"a": [1, 2, 3]}, seeds=[0, 1],
+                        config=RunConfig(pool=PoolConfig(parallel=3)))
         assert [c.values for c in par.cells] == [c.values for c in serial.cells]
 
     def test_missing_cell_raises(self):

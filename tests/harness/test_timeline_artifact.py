@@ -17,7 +17,8 @@ from repro.harness.timeline_plot import (
     run_timeline_plot,
 )
 from repro.machine import MachineConfig
-from repro.obs import TimelineConfig
+from repro.obs import ObsConfig, TimelineConfig
+from repro.runconfig import PoolConfig, RunConfig
 
 
 def _point(nodes, seed):
@@ -47,13 +48,14 @@ def _point(nodes, seed):
 
 AXES = {"nodes": [1, 2]}
 TL = TimelineConfig(cadence_ns=1_000.0)
+RECORDED = RunConfig(obs=ObsConfig(timeline=TL))
 
 
 @pytest.fixture(scope="module")
 def timeline_artifact(tmp_path_factory):
     path = tmp_path_factory.mktemp("tla") / "metrics.json"
     run_sweep(_point, AXES, seeds=(0, 1), metrics_path=path,
-              timeline=TL, tag="tla")
+              config=RECORDED, tag="tla")
     return path, json.loads(path.read_text())
 
 
@@ -154,8 +156,9 @@ class TestScheduleIndependence:
         payloads = []
         for parallel in (1, 2):
             path = tmp_path / f"p{parallel}.json"
+            config = RECORDED.replace(pool=PoolConfig(parallel=parallel))
             run_sweep(_point, AXES, seeds=(0, 1), metrics_path=path,
-                      timeline=TL, parallel=parallel, tag="tla")
+                      config=config, tag="tla")
             payloads.append(json.loads(path.read_text()))
         assert (
             canonical_metrics_bytes(payloads[0])

@@ -11,7 +11,8 @@ from repro.harness.artifact import (
 )
 from repro.machine import MachineConfig
 from repro.machine.costs import CostModel
-from repro.obs import ObsConfig, ObsSession
+from repro.obs import ObsConfig
+from repro.runconfig import RunConfig, RunContext
 
 
 def _roundtrip(tmp_path, session, target):
@@ -28,7 +29,7 @@ class TestBottleneckVerdict:
     def test_commthread_saturated(self, tmp_path):
         # One comm thread serving 8 workers of fine-grained WW traffic:
         # the paper's SecIII-A serialization regime.
-        with ObsSession(ObsConfig()) as session:
+        with RunContext(RunConfig(obs=ObsConfig())) as session:
             run_histogram(
                 MachineConfig(2, 1, 8), "WW", updates_per_pe=2000,
                 buffer_items=8, batch=500,
@@ -51,7 +52,7 @@ class TestBottleneckVerdict:
             comm_msg_ns=20.0, comm_byte_ns=0.0,
             nic_msg_ns=2000.0, beta_ns_per_byte=2.0,
         )
-        with ObsSession(ObsConfig()) as session:
+        with RunContext(RunConfig(obs=ObsConfig())) as session:
             run_histogram(
                 MachineConfig(2, 2, 2), "WPs", updates_per_pe=2000,
                 buffer_items=16, batch=500, costs=costs,

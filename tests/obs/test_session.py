@@ -1,13 +1,19 @@
-"""Tests for ObsConfig gating and the run-capturing ObsSession."""
+"""Tests for ObsConfig gating and run capture by the active RunContext."""
 
 import numpy as np
 
 from repro.machine import MachineConfig
-from repro.obs import ObsConfig, ObsSession, active_session, run_snapshot
+from repro.obs import ObsConfig, run_snapshot
+from repro.runconfig import RunConfig, RunContext, active
 from repro.runtime.system import RuntimeSystem
 from repro.tram import TramConfig, make_scheme
 
 MACHINE = MachineConfig(2, 2, 2)
+
+
+def _observed(obs=ObsConfig()):
+    """A run context with observability set to ``obs``."""
+    return RunContext(RunConfig(obs=obs))
 
 
 def _traffic(rt, tram):
@@ -44,7 +50,7 @@ class TestGating:
         assert tram.stages is not None
 
     def test_enabled_false_stays_off(self):
-        with ObsSession(ObsConfig(enabled=False)) as session:
+        with _observed(ObsConfig(enabled=False)) as session:
             rt, tram = _build()
             assert not rt.obs_enabled
             assert tram.stages is None
@@ -53,7 +59,7 @@ class TestGating:
         assert session.records == []  # disabled sessions capture nothing
 
     def test_session_config_inherited(self):
-        with ObsSession():
+        with _observed():
             rt, tram = _build()
             assert rt.obs_enabled
             assert tram.stages is not None
@@ -72,7 +78,7 @@ class TestGating:
 
 class TestSessionCapture:
     def test_one_record_per_runtime(self):
-        with ObsSession() as session:
+        with _observed() as session:
             for _ in range(2):
                 rt, tram = _build()
                 _traffic(rt, tram)
@@ -84,7 +90,7 @@ class TestSessionCapture:
             assert snap["utilization"]["bottleneck"]
 
     def test_rerun_same_runtime_replaces_snapshot(self):
-        with ObsSession() as session:
+        with _observed() as session:
             rt, tram = _build()
             _traffic(rt, tram)
             stats1 = rt.run()
@@ -95,14 +101,14 @@ class TestSessionCapture:
         assert snap["events_fired"] == stats1.events_fired + stats2.events_fired
 
     def test_nesting_inner_wins_outer_restored(self):
-        with ObsSession() as outer:
-            with ObsSession() as inner:
-                assert active_session() is inner
+        with _observed() as outer:
+            with _observed() as inner:
+                assert active() is inner
                 rt, tram = _build()
                 _traffic(rt, tram)
                 rt.run()
-            assert active_session() is outer
-        assert active_session() is None
+            assert active() is outer
+        assert active() is None
         assert len(inner.records) == 1
         assert outer.records == []
 
@@ -143,7 +149,7 @@ class TestSnapshotShape:
 
 class TestAbsorb:
     def _run_records(self, n=1):
-        with ObsSession() as session:
+        with _observed() as session:
             for _ in range(n):
                 rt, tram = _build()
                 _traffic(rt, tram)
@@ -151,18 +157,18 @@ class TestAbsorb:
         return session.records
 
     def test_absorb_empty_is_a_noop(self):
-        with ObsSession() as session:
+        with _observed() as session:
             session.absorb([])
         assert session.records == []
 
     def test_absorb_preserves_order(self):
         recs = [{"tag": i} for i in range(3)]
-        with ObsSession() as session:
+        with _observed() as session:
             session.absorb(recs)
         assert session.records == recs
 
     def test_absorbing_twice_appends(self):
-        with ObsSession() as session:
+        with _observed() as session:
             session.absorb([{"tag": "a"}])
             session.absorb([{"tag": "b"}, {"tag": "c"}])
         assert [r["tag"] for r in session.records] == ["a", "b", "c"]
@@ -172,7 +178,7 @@ class TestAbsorb:
     def test_absorb_into_session_with_local_snapshots(self):
         """Pool-merge scenario: locally captured runs and absorbed
         worker records interleave in arrival order."""
-        with ObsSession() as session:
+        with _observed() as session:
             rt, tram = _build()
             _traffic(rt, tram)
             rt.run()
@@ -189,7 +195,7 @@ class TestAbsorb:
     def test_absorbed_records_survive_runtime_rerun(self):
         """A later run() on a local runtime must replace only its own
         snapshot, never an absorbed one."""
-        with ObsSession() as session:
+        with _observed() as session:
             rt, tram = _build()
             _traffic(rt, tram)
             rt.run()

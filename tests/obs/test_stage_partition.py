@@ -13,7 +13,8 @@ import pytest
 from repro.apps.indexgather import run_indexgather
 from repro.machine import MachineConfig, nonsmp_machine
 from repro.machine.costs import CostModel
-from repro.obs import ObsConfig, ObsSession
+from repro.obs import ObsConfig
+from repro.runconfig import RunConfig, RunContext
 from repro.obs.spans import STAGES
 from repro.runtime.system import RuntimeSystem
 from repro.tram import SCHEME_NAMES, TramConfig, make_scheme
@@ -50,7 +51,7 @@ class TestIndexGatherPartition:
 
     @pytest.mark.parametrize("scheme", SCHEME_NAMES + ("WNs", "NN"))
     def test_partition_holds(self, scheme):
-        with ObsSession(ObsConfig()) as session:
+        with RunContext(RunConfig(obs=ObsConfig())) as session:
             run_indexgather(
                 MACHINE, scheme, requests_per_pe=300, buffer_items=32,
                 latency_sample=0, seed=1,
