@@ -65,7 +65,8 @@ class FleetStatus:
     cache_hits:
         Points already resolved from the cache before dispatch.
     nworkers:
-        Worker process count (0 = the serial in-process path).
+        Executor count (1 = in-process: the parent runs every point
+        as executor 0).
     interval_s:
         Minimum wall-clock spacing between emitted updates; terminal
         and file writes share the throttle.

@@ -39,7 +39,7 @@ dispatches them:
   new dispatch, let in-flight points finish (and be cached), flush
   fleet status, and raise :class:`SweepInterrupted` — the CLI maps that
   to exit code 3.
-* **Seed hygiene.** Every executor (the serial path and each worker
+* **Seed hygiene.** Every executor (the in-process one and each worker
   process) scrambles the ambient global RNGs (``random``,
   ``numpy.random``) before running points, with a *different* token per
   worker. A point function that leaks dependence on ambient global
@@ -51,8 +51,11 @@ Processes are forked lazily per :func:`map_points` call, so the
 ambient :class:`~repro.runconfig.RunContext` entered by the caller (its
 faults, flow and observability) is inherited by the workers; fork is
 also what lets arbitrary in-process callables (closures, partials) run
-in workers without pickling. On platforms without ``fork`` the executor degrades
-to the serial path.
+in workers without pickling. With one worker (``--parallel 1``), or on
+platforms without ``fork``, the same supervisor runs the points
+in-process: retries, backoff, quarantine, drain and fleet status
+behave as above, while per-point timeouts and worker restarts do not
+apply.
 """
 
 from __future__ import annotations
@@ -66,7 +69,7 @@ import threading
 import time
 import traceback
 from collections import deque
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
@@ -131,7 +134,7 @@ class PointOutcome:
     #: Per-run observability snapshots produced by this point.
     records: List[dict] = field(default_factory=list)
     cache_hit: bool = False
-    #: Executor id: 0 = the parent (serial path), 1..N = pool workers.
+    #: Executor id: 0 = the parent (in-process), 1..N = pool workers.
     worker: int = 0
     wall_s: float = 0.0
     #: ``"ok"`` or ``"poisoned"`` (failed every attempt, quarantined).
@@ -228,11 +231,11 @@ class PoolContext:
 def _scramble_ambient_rng(token: int) -> None:
     """Deterministically perturb the global RNGs, per executor.
 
-    Point results must be functions of the point spec alone. Serial and
-    parallel executors scramble to *different* states, so any point
-    function secretly reading ambient global randomness produces
-    diverging sweeps and fails the parallel-vs-serial identity tests
-    instead of silently passing.
+    Point results must be functions of the point spec alone. The
+    in-process executor and each worker scramble to *different* states,
+    so any point function secretly reading ambient global randomness
+    produces diverging sweeps and fails the parallel-vs-serial identity
+    tests instead of silently passing.
     """
     random.seed(_GUARD_SEED ^ token)
     try:
@@ -270,10 +273,13 @@ def _execute_point(
 ):
     """Run one point, capturing its obs records and wall time.
 
-    Inside an active context with obs on, the point's runs report there
-    naturally and the new tail of ``records`` is the capture; otherwise
-    (when records are still needed, e.g. to populate a cache entry) the
-    point runs under a private copy of the active config with obs on.
+    With ``collect_obs`` the point runs in a private root
+    :class:`~repro.runconfig.RunContext` (the active config with obs
+    on), so the records it returns are exactly its own runs' snapshots,
+    whether it runs in-process or in a worker. Nothing reaches the
+    caller's collector here: :func:`map_points` absorbs every outcome's
+    records once, in grid order. Without ``collect_obs`` the point runs
+    under the active config and returns no records.
 
     Earlier points' garbage is collected first. A finished runtime is
     one large reference cycle that only the cyclic collector frees, and
@@ -282,24 +288,16 @@ def _execute_point(
     could fall arbitrarily late and hold several runtimes at once.
     """
     gc.collect()
-    ctx = active()
-    observed = ctx is not None and ctx.config.obs is not None
-    collector = ctx if observed else None
     own: Optional[RunContext] = None
-    if collect_obs and collector is None:
+    if collect_obs:
+        ctx = active()
         base = ctx.config if ctx is not None else RunConfig()
-        own = collector = RunContext(base.with_obs())
-        own.__enter__()
-    try:
-        before = len(collector.records) if collector is not None else 0
+        own = RunContext(base.with_obs())
+    with own if own is not None else nullcontext():
         t0 = time.perf_counter()
         value = fn(seed=spec.seed, **spec.params)
         wall = time.perf_counter() - t0
-        records = collector.records[before:] if collector is not None else []
-    finally:
-        if own is not None:
-            own.__exit__(None, None, None)
-    return value, records, wall
+    return value, own.records if own is not None else [], wall
 
 
 def _worker_main(worker_id, fn, specs, collect_obs, conn, resq, stale_conns):
@@ -395,15 +393,22 @@ class _WorkerHandle:
 
 
 class _Supervisor:
-    """Fault-tolerant dispatch of grid slots across worker processes.
+    """Fault-tolerant dispatch of grid slots, in worker processes or
+    in-process.
 
-    The supervision loop multiplexes three event sources with
-    :func:`multiprocessing.connection.wait`:
+    With ``nworkers > 1`` the supervision loop multiplexes three event
+    sources with :func:`multiprocessing.connection.wait`:
 
     * the shared result queue (completions, heartbeats, death notices),
     * every worker's ``Process.sentinel`` (crash/kill detection),
     * a wall-clock timeout derived from pending retry backoffs and
       per-point deadlines (hang detection).
+
+    With one worker it spawns nothing and runs each slot itself
+    (:meth:`_run_inprocess`, executor id 0). Per-point timeouts and
+    worker restarts do not apply there: a running point cannot be
+    preempted in-process, and a drain signal takes effect between
+    points.
 
     Failures — a point exception, a dead worker, a hung worker — all
     funnel into :meth:`_fail_attempt`, which retries with seeded
@@ -418,7 +423,6 @@ class _Supervisor:
         todo: Sequence[int],
         nworkers: int,
         collect_obs: bool,
-        config: PoolConfig,
         ctx: PoolContext,
         on_done: Callable[[int, PointOutcome], None],
         fleet: Optional[Any],
@@ -429,14 +433,12 @@ class _Supervisor:
         self.todo = list(todo)
         self.nworkers = nworkers
         self.collect_obs = collect_obs
-        self.config = config
+        self.config = ctx.config
         self.ctx = ctx
         self.on_done = on_done
         self.fleet = fleet
         self.drain_state = drain_state
 
-        self.mp = multiprocessing.get_context("fork")
-        self.resq = self.mp.SimpleQueue()
         self.workers: Dict[int, _WorkerHandle] = {}
         self.next_wid = 1
         self.ready = deque(self.todo)
@@ -447,8 +449,8 @@ class _Supervisor:
         self.resolved: set = set()
         self.restarts = 0
         self.max_restarts = (
-            config.max_restarts
-            if config.max_restarts is not None
+            self.config.max_restarts
+            if self.config.max_restarts is not None
             else 2 * nworkers + 2
         )
         self.failure: Optional[str] = None
@@ -457,23 +459,54 @@ class _Supervisor:
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    def run(self) -> None:
-        for _ in range(self.nworkers):
-            self._spawn()
-        try:
-            self._loop()
-        finally:
-            self._shutdown()
+    def run(self) -> int:
+        """Resolve every slot; return how many a drain left unresolved."""
+        if self.nworkers == 1:
+            self._run_inprocess()
+        else:
+            self.mp = multiprocessing.get_context("fork")
+            self.resq = self.mp.SimpleQueue()
+            for _ in range(self.nworkers):
+                self._spawn()
+            try:
+                self._loop()
+            finally:
+                self._shutdown()
         if self.failure is not None:
             raise HarnessError(
                 f"sweep point failed in worker:\n{self.failure}"
             )
-        if self.draining and len(self.resolved) < len(self.todo):
-            raise SweepInterrupted(
-                executed=self.ctx.executed,
-                remaining=len(self.todo) - len(self.resolved),
-                reason="signal",
-            )
+        return len(self.todo) - len(self.resolved)
+
+    def _run_inprocess(self) -> None:
+        """Run slots in this process, one at a time.
+
+        A slot waiting out its retry backoff runs before any fresh slot,
+        so points execute in grid order.
+        """
+        if self.todo:
+            _scramble_ambient_rng(0)
+        while len(self.resolved) < len(self.todo) and self.failure is None:
+            if self.drain_state.get("requested"):
+                self._begin_drain()
+                return
+            if self.backoffs:
+                due, slot = self.backoffs.pop()
+                time.sleep(max(0.0, due - time.monotonic()))
+            else:
+                slot = self.ready.popleft()
+            self._announce(0, slot)
+            try:
+                value, records, wall = _execute_point(
+                    self.fn, self.specs[slot], self.collect_obs
+                )
+            except Exception:
+                # A failed attempt like a worker's traceback: retried,
+                # then quarantined or raised as a HarnessError carrying
+                # it. KeyboardInterrupt and SystemExit propagate.
+                self._fail_attempt(slot, 0, traceback.format_exc())
+            else:
+                self._resolve_ok(slot, 0, value, records, wall)
 
     def _spawn(self) -> Optional[_WorkerHandle]:
         wid = self.next_wid
@@ -564,12 +597,14 @@ class _Supervisor:
             handle.slot = slot
             handle.dispatched_at = time.monotonic()
             self.assignee[slot] = handle.wid
-            if self.fleet is not None:
-                self.fleet.on_heartbeat(
-                    handle.wid,
-                    {"slot": slot,
-                     "params": dict(self.specs[slot].params)},
-                )
+            self._announce(handle.wid, slot)
+
+    def _announce(self, wid: int, slot: int) -> None:
+        """Tell the fleet display that executor ``wid`` took ``slot``."""
+        if self.fleet is not None:
+            self.fleet.on_heartbeat(
+                wid, {"slot": slot, "params": dict(self.specs[slot].params)}
+            )
 
     def _wakeup_timeout(self) -> Optional[float]:
         now = time.monotonic()
@@ -783,9 +818,9 @@ def _fork_available() -> bool:
 def _drain_handler(enabled: bool):
     """Install SIGINT/SIGTERM handlers that request a graceful drain.
 
-    Yields the shared state dict the supervisor (and the serial loop)
-    polls. Handlers are only installed from the main thread; elsewhere
-    the state simply never triggers.
+    Yields the shared state dict the supervisor polls. Handlers are only
+    installed from the main thread; elsewhere the state simply never
+    triggers.
     """
     state: Dict[str, bool] = {"requested": False}
     if not enabled or threading.current_thread() is not threading.main_thread():
@@ -826,8 +861,8 @@ def map_points(
     Points are enumerated in grid-major order (all seeds of a cell are
     adjacent) and the returned outcomes are in that exact order no
     matter how execution was scheduled. Executes as the active
-    :class:`~repro.runconfig.RunContext` says (serial, cache off when
-    none is active).
+    :class:`~repro.runconfig.RunContext` says (in-process, cache off
+    when none is active).
 
     When the context's pool carries a cache, hits are replayed (value +
     obs records) without executing, and completed points are persisted
@@ -915,129 +950,42 @@ def map_points(
             )
         outcomes[slot] = outcome
 
-    # Execute and merge. Observability snapshots must land in the
-    # collector in strict grid-index order regardless of schedule
-    # and cache state, so artifacts never depend on either.
+    # Execute, then merge in grid order: provenance entries and obs
+    # records land strictly by grid index regardless of schedule and
+    # cache state, so artifacts never depend on either. Points that
+    # completed before a drain or a failure are merged too.
     nworkers = min(max(1, pool.config.parallel), max(1, len(todo)))
+    if not _fork_available():
+        nworkers = 1
     from repro.harness.fleet import make_fleet_status
 
     hits_upfront = len(specs) - len(todo) - deferred
     fleet = make_fleet_status(pool.config, len(specs), hits_upfront, nworkers)
+    done: List[PointOutcome] = []
     try:
         with _drain_handler(pool.config.drain_signals) as drain_state:
-            if todo and nworkers > 1 and _fork_available():
-                # Parallel: workers report nothing to the collector
-                # during execution; absorb every point's records
-                # afterwards, in order.
-                supervisor = _Supervisor(
-                    fn, specs, todo, nworkers, collect_obs,
-                    pool.config, pool, finish, fleet, drain_state,
-                )
-                try:
-                    supervisor.run()
-                finally:
-                    if collector is not None:
-                        for outcome in outcomes:
-                            if outcome is not None:
-                                collector.absorb(outcome.records)
-            else:
-                _run_serial(
-                    fn, specs, todo, collect_obs, pool, finish,
-                    fleet, drain_state, outcomes, collector,
-                )
+            drained = _Supervisor(
+                fn, specs, todo, nworkers, collect_obs, pool, finish,
+                fleet, drain_state,
+            ).run()
     finally:
         if fleet is not None:
             fleet.finish()
-
-    done: List[PointOutcome] = []
-    for outcome in outcomes:
-        if outcome is None:
-            continue
-        pool.record(resolved_tag, outcome)
-        done.append(outcome)
-
-    if deferred:
-        raise SweepInterrupted(executed=pool.executed, remaining=deferred)
-    return done
-
-
-def _run_serial(
-    fn, specs, todo, collect_obs, ctx, finish, fleet, drain_state,
-    outcomes, collector,
-) -> None:
-    """In-process execution: index order, cache-hit replays interleaved.
-
-    Retries and quarantine apply exactly as in the parallel path;
-    per-point timeouts do not (a running point cannot be preempted
-    in-process) and a drain signal takes effect between points.
-    """
-    config = ctx.config
-    todo_set = set(todo)
-    if todo_set:
-        _scramble_ambient_rng(0)
-    done_so_far = 0
-    for spec in specs:
-        outcome = outcomes[spec.index]
-        if outcome is not None:
+        for outcome in outcomes:
+            if outcome is None:
+                continue
+            pool.record(resolved_tag, outcome)
             if collector is not None:
                 collector.absorb(outcome.records)
-            continue
-        if spec.index not in todo_set:
-            continue
-        if drain_state.get("requested"):
-            remaining = len(todo) - done_so_far
-            raise SweepInterrupted(
-                executed=ctx.executed, remaining=remaining, reason="signal"
-            )
-        if fleet is not None:
-            fleet.on_heartbeat(0, {"params": dict(spec.params)})
-        err = None
-        for attempt in range(config.retries + 1):
-            try:
-                value, records, wall = _execute_point(
-                    fn, spec, collect_obs
-                )
-            except Exception:
-                # Any point failure is a failed attempt (retried, then
-                # quarantined or fatal per the config), exactly as a
-                # worker's traceback is in the parallel path.
-                err = traceback.format_exc()
-                if attempt < config.retries:
-                    if fleet is not None:
-                        fleet.on_retry(spec.index)
-                    time.sleep(_backoff_s(config, spec, attempt + 1))
-                    continue
-                break
-            else:
-                if fleet is not None:
-                    fleet.on_point_done(
-                        0, wall, channel_trips=channel_trips_of(records)
-                    )
-                finish(
-                    spec.index,
-                    PointOutcome(
-                        spec=spec, value=value, records=records,
-                        wall_s=wall, retries=attempt,
-                    ),
-                )
-                done_so_far += 1
-                err = None
-                break
-        if err is not None:
-            if not config.quarantine:
-                raise HarnessError(
-                    f"sweep point failed in worker:\n{err}"
-                )
-            if fleet is not None:
-                fleet.on_poisoned(0)
-            finish(
-                spec.index,
-                PointOutcome(
-                    spec=spec, value=None, status="poisoned",
-                    error=err, retries=config.retries,
-                ),
-            )
-            done_so_far += 1
+            done.append(outcome)
+
+    if drained or deferred:
+        raise SweepInterrupted(
+            executed=pool.executed,
+            remaining=drained + deferred,
+            reason="signal" if drained else "budget",
+        )
+    return done
 
 
 # ----------------------------------------------------------------------

@@ -19,8 +19,9 @@ Design constraints, in order:
   parallel sweep executions produce byte-identical timeline blocks.
 * **Off by default, cheap when on.** With no
   :class:`TimelineConfig` the engine runs its unmodified hot loop; with
-  one, the loop pays a single float comparison per event and the probe
-  walk only at boundaries (see ``Engine._run_sampled``), guarded by
+  one, the run takes the engine's general loop, which pays a float
+  comparison per event and the probe walk only at boundaries (see
+  ``Engine._run_general``), guarded by
   ``benchmarks/bench_obs_overhead.py``.
 * **Bounded memory.** Samples live in a ring of ``capacity`` rows;
   on overflow the recorder decimates (drops every other retained sample

@@ -77,7 +77,7 @@ class PoolConfig:
     retries: int = 0
     #: Wall-clock budget per point; a worker stuck past it is killed
     #: and the point counts as a failed attempt. Parallel runs only —
-    #: the serial in-process path cannot preempt a running point.
+    #: the in-process supervisor cannot preempt a running point.
     point_timeout_s: Optional[float] = None
     #: First-retry backoff; doubles per attempt (seeded +/-50% jitter).
     backoff_base_s: float = 0.05

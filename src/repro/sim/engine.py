@@ -130,7 +130,7 @@ class Engine:
         #: calls ``sampler.on_boundary(t)``. Driving sampling from the
         #: event stream (rather than self-rescheduling sampler events)
         #: keeps run-to-exhaustion quiescence intact and adds only one
-        #: float compare per event.
+        #: float compare per event. A sampled run takes the general loop.
         self.sampler: Optional[Any] = None
         #: Owner slot of the event currently firing (multi-owner engines
         #: only; stays 0 otherwise). Events scheduled from inside a
@@ -415,6 +415,8 @@ class Engine:
 
         Notes
         -----
+        Without a horizon, an event cap, a tracer or a sampler the run
+        takes the unobserved fast loop; otherwise the general one.
         While the loop runs, the young-generation GC threshold is raised
         to :data:`GC_GEN0_THRESHOLD`. A caller's higher threshold is
         kept, a zero threshold (automatic collection off) is left alone,
@@ -433,11 +435,13 @@ class Engine:
         if 0 < thresholds[0] < GC_GEN0_THRESHOLD:
             gc.set_threshold(GC_GEN0_THRESHOLD, *thresholds[1:])
         try:
-            if until is None and max_events is None and self.tracer is None:
-                if self.sampler is None:
-                    self._run_fast(stats)
-                else:
-                    self._run_sampled(stats)
+            if (
+                until is None
+                and max_events is None
+                and self.tracer is None
+                and self.sampler is None
+            ):
+                self._run_fast(stats)
             else:
                 self._run_general(stats, until, max_events)
         finally:
@@ -523,62 +527,15 @@ class Engine:
         stats.events_fired = fired
         stats.last_event_time = self.now
 
-    def _run_sampled(self, stats: RunStats) -> None:
-        """Full run with a boundary sampler: :meth:`_run_fast` plus one
-        ``t >= next_due`` compare per event. Kept as a separate loop so
-        the sampler-less hot path stays untouched (the obs-overhead
-        bench guards both)."""
-        queue = self._queue
-        heap = self._heap
-        wheel = self._wheel
-        pool = self._pool
-        sampler = self.sampler
-        mod = self._owner_mod
-        nown = self._n_owners
-        next_due = sampler.next_due
-        fired = 0
-        while not self._stop_requested:
-            if wheel._live:
-                wev = wheel.peek()
-                hev = queue.peek()
-                if hev is None or wev < hev:
-                    ev = wheel.pop()
-                else:
-                    ev = _heappop(heap)
-            else:
-                while heap:
-                    ev = _heappop(heap)
-                    if ev[2]:
-                        break
-                    queue._corpses -= 1
-                else:
-                    break
-            state = ev[2]
-            t = ev[0]
-            if t >= next_due:
-                # Sample state-at-boundary before the crossing event
-                # fires; all applied events are strictly earlier.
-                next_due = sampler.on_boundary(t)
-            self.now = t
-            if mod:
-                slot = ev[1] % mod
-                self.current_owner = slot if slot < nown else (slot - nown) % nown
-            fired += 1
-            ev[2] = ST_CONSUMED
-            ev[3](*ev[4])
-            if state == ST_POOLED and len(pool) < POOL_CAP:
-                pool.append(ev)
-        else:
-            stats.stopped_early = True
-        stats.events_fired = fired
-        stats.last_event_time = self.now
-
     def _run_general(
         self, stats: RunStats, until: Optional[float], max_events: Optional[int]
     ) -> None:
-        """Run with horizon / max-events / tracing / sampling. Peeks before popping so an event beyond the horizon is
-        never removed — that is what keeps cancel handles valid across
-        successive horizons."""
+        """Run with a horizon, an event cap, a tracer or a sampler.
+
+        Peeks before popping, so an event beyond the horizon is never
+        removed — that is what keeps cancel handles valid across
+        successive horizons. A boundary sampler costs one float compare
+        per event here; :meth:`_run_fast` carries none."""
         queue = self._queue
         heap = self._heap
         wheel = self._wheel

@@ -809,6 +809,44 @@ class TestSupervision:
 # ----------------------------------------------------------------------
 # Interrupt semantics: graceful drain, parent crash, resume from cache
 # ----------------------------------------------------------------------
+_DRAIN_PID_ENV = "REPRO_TEST_DRAIN_PID"
+
+
+def _signals_parent(seed, *, x):
+    # Point 2 asks the process running the sweep to drain; in-process
+    # that is this very process, in a worker it is the parent.
+    if x == 2:
+        os.kill(int(os.environ[_DRAIN_PID_ENV]), signal.SIGINT)
+    return float(x * x + seed)
+
+
+class TestDrain:
+    @pytest.mark.parametrize("parallel", [1, 2])
+    def test_drain_records_completed_points(
+        self, tmp_path, monkeypatch, parallel
+    ):
+        """A drained sweep counts and records every point it completed:
+        the exception, the cache and the provenance agree."""
+        monkeypatch.setenv(_DRAIN_PID_ENV, str(os.getpid()))
+        cache = tmp_path / "cache"
+        cfg = PoolConfig(
+            parallel=parallel, cache_dir=cache, drain_signals=True
+        )
+        with _pool_context(cfg) as ctx:
+            with pytest.raises(SweepInterrupted) as info:
+                map_points(_signals_parent, [{"x": i} for i in range(8)])
+        exc = info.value
+        assert exc.reason == "signal"
+        assert exc.executed == len(ResultCache(cache)) == ctx.pool.executed
+        assert exc.executed >= 3  # points 0-2 finished before the drain
+        assert exc.remaining == 8 - exc.executed > 0
+        # Every dispatched point finished, so the completed points are
+        # a grid prefix, recorded in grid order.
+        assert [p["index"] for p in ctx.pool.provenance] == list(
+            range(exc.executed)
+        )
+
+
 _SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 

@@ -1,5 +1,6 @@
 """Property-based tests for the DES substrate."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -96,8 +97,23 @@ script_st = st.lists(step_st, min_size=1, max_size=25)
 horizons_st = st.lists(st.integers(1, 60), max_size=3)
 
 
-def _run_script(script, horizons, use_wheel: bool):
-    """Interpret the script on one engine; return the fired sequence."""
+class _NoopSampler:
+    """A boundary sampler that records nothing: it only moves its due
+    time on, so a sampled run must fire the unsampled sequence."""
+
+    next_due = 0.0
+
+    def on_boundary(self, t):
+        return t + 1000.0
+
+
+def _run_script(script, horizons, use_wheel: bool, final: str = "run"):
+    """Interpret the script on one engine; return the fired sequence.
+
+    ``final`` picks how the last, unbounded run is driven: ``"run"``
+    (the fast loop), ``"max_events"`` or ``"sampler"`` (both take the
+    general loop).
+    """
     eng = Engine()
     fired = []
     handles = []
@@ -123,19 +139,26 @@ def _run_script(script, horizons, use_wheel: bool):
     eng.after(script[0][0] * 250.0, step, 0)
     for h in sorted(horizons):
         eng.run(until=h * 250.0)  # deferred events keep their handles
-    eng.run()
+    if final == "max_events":
+        eng.run(max_events=10**6)
+    else:
+        if final == "sampler":
+            eng.sampler = _NoopSampler()
+        eng.run()
     assert eng.pending == 0
     return fired
 
 
 class TestWheelHeapEquivalence:
+    @pytest.mark.parametrize("final", ["run", "max_events", "sampler"])
     @given(script_st, horizons_st)
     @settings(max_examples=80, deadline=None)
-    def test_identical_fire_sequence(self, script, horizons):
+    def test_identical_fire_sequence(self, final, script, horizons):
         """A wheel+heap engine fires the exact (time, seq, fn) sequence
         of a heap-only engine under randomized arm/cancel/requeue: the
         fired (now, tag) streams — tags encode arm order, i.e. seq —
-        must match element for element."""
+        must match element for element, whichever run loop drives the
+        final run."""
         heap_only = _run_script(script, horizons, use_wheel=False)
-        wheel = _run_script(script, horizons, use_wheel=True)
+        wheel = _run_script(script, horizons, use_wheel=True, final=final)
         assert wheel == heap_only

@@ -29,6 +29,16 @@ def _observe(seen):
     seen.append(gc.get_threshold())
 
 
+class _NoopSampler:
+    """A boundary sampler that records nothing (routes a run through
+    the general loop)."""
+
+    next_due = 0.0
+
+    def on_boundary(self, t):
+        return t + 1.0
+
+
 class TestThresholds:
     def test_raised_during_run_restored_after(self, thresholds):
         eng = Engine()
@@ -38,9 +48,19 @@ class TestThresholds:
         assert seen == [(GC_GEN0_THRESHOLD, 10, 10)]
         assert gc.get_threshold() == thresholds
 
-    @pytest.mark.parametrize("kwargs", [{}, {"until": 50.0}, {"max_events": 10}])
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {},
+            {"until": 50.0},
+            {"max_events": 10},
+            pytest.param({"sampler": _NoopSampler()}, id="sampler"),
+        ],
+    )
     def test_every_run_loop(self, thresholds, kwargs):
+        kwargs = dict(kwargs)
         eng = Engine()
+        eng.sampler = kwargs.pop("sampler", None)
         seen = []
         eng.after(1.0, _observe, seen)
         eng.run(**kwargs)
